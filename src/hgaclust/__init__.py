@@ -13,10 +13,7 @@ from .clustering import (
     Assignment,
     Chromosome,
     FitnessBreakdown,
-    centroid,
     chromosome_fitness,
-    cluster_fitness,
-    euclidean_distance,
     kmeans,
 )
 from .dataset import (
@@ -75,9 +72,6 @@ __all__ = [
     "Chromosome",
     "FitnessBreakdown",
     "Assignment",
-    "euclidean_distance",
-    "centroid",
-    "cluster_fitness",
     "chromosome_fitness",
     "kmeans",
     "HgaConfig",

@@ -15,25 +15,26 @@ violations.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .clustering import Chromosome, chromosome_fitness, kmeans
 from .errors import ContractError, InputError
-from .evaluation import Metrics, align_clusters_to_labels, confusion_matrix, metrics
 from .experiment import (
     ExperimentConfig,
     emit_report,
-    hga_config_for,
+    evaluate_assignment,
+    hga_block,
+    kmeans_block,
     prepare_points,
+    report_json,
     run_experiment,
     summary_csv_text,
     write_scatter_csv,
 )
-from .hga import run_hga
 from .pca import write_projection_csv
 
 
@@ -41,18 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hgaclust", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    data = argparse.ArgumentParser(add_help=False)
+    # Config flags store under their ExperimentConfig field name and leave
+    # the namespace untouched when absent, so the dataclass holds the defaults.
+    data = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     data.add_argument("--input", required=True, help="path to the heart-disease CSV")
     data.add_argument(
         "--standardize",
         action=argparse.BooleanOptionalAction,
-        default=True,
         help="z-score the 13 features before PCA (default: on)",
     )
     data.add_argument(
         "--impute",
+        dest="impute_strategy",
         choices=("median", "mode", "drop"),
-        default="median",
         help="missing-value strategy (default: median)",
     )
 
@@ -60,26 +62,28 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--output", help="report path (default: stdout)")
     out.add_argument("--format", choices=("json", "csv-summary"), default="json")
 
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="run seed (default: 0)")
+    seeded = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    seeded.add_argument("--seed", type=int, help="run seed (default: 0)")
 
-    ga = argparse.ArgumentParser(add_help=False)
-    ga.add_argument("--population-size", type=int, default=2500)
-    ga.add_argument("--doldrum-factor", type=int, default=2)
-    ga.add_argument("--max-generations", type=int, default=1_000_000)
+    ga = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    ga.add_argument("--population-size", type=int)
+    ga.add_argument("--doldrum-factor", type=int)
+    ga.add_argument("--max-generations", type=int)
     ga.add_argument(
-        "--no-improvement", action="store_true",
+        "--no-improvement", dest="improvement_enabled", action="store_false",
         help="disable the deterministic improvement step",
     )
     ga.add_argument(
-        "--no-mutation", action="store_true",
+        "--no-mutation", dest="mutation_enabled", action="store_false",
         help="disable two-point mutation (ablation)",
     )
     ga.add_argument(
-        "--improve-initial", action="store_true",
+        "--improve-initial", dest="improve_initial_population", action="store_true",
         help="also improve the initial population",
     )
-    ga.add_argument("--trace-file", help="write generation,min_fitness,max_fitness lines here")
+    ga.add_argument(
+        "--trace-file", default=None, help="write generation,min_fitness,max_fitness lines here"
+    )
 
     p = sub.add_parser("pca", parents=[data], help="project onto the top two components")
     p.add_argument("--output", required=True, help="projection CSV path (pc1,pc2,target)")
@@ -91,11 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--assignment", required=True, help="file holding a 0/1 assignment string")
 
     ex = sub.add_parser("experiment", parents=[data, seeded, ga, out], help="full pipeline")
-    ex.add_argument("--replicates", type=int, default=1, help="number of derived-seed runs")
+    ex.add_argument(
+        "--replicates", type=int, default=argparse.SUPPRESS,
+        help="number of derived-seed runs",
+    )
     ex.add_argument("--scatter", help="write a pc1,pc2,predicted,actual CSV here")
     ex.add_argument(
         "--normalize-timings",
         action="store_true",
+        default=argparse.SUPPRESS,
         help="zero the timing fields so reports are byte-reproducible",
     )
 
@@ -103,123 +111,59 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    given = vars(args)
     return ExperimentConfig(
-        input=args.input,
-        seed=getattr(args, "seed", 0),
-        population_size=getattr(args, "population_size", 2500),
-        doldrum_factor=getattr(args, "doldrum_factor", 2),
-        max_generations=getattr(args, "max_generations", 1_000_000),
-        improvement_enabled=not getattr(args, "no_improvement", False),
-        mutation_enabled=not getattr(args, "no_mutation", False),
-        improve_initial_population=getattr(args, "improve_initial", False),
-        standardize=args.standardize,
-        impute_strategy=args.impute,
-        replicates=getattr(args, "replicates", 1),
-        normalize_timings=getattr(args, "normalize_timings", False),
+        **{f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
     )
-
-
-def _display(m: Metrics) -> dict:
-    rounded = m.rounded()
-    return {
-        "accuracy_pct": rounded["accuracy"],
-        "error_pct": rounded["error"],
-        "recall_pct": rounded["recall"],
-        "precision_pct": rounded["precision"],
-        "f1_pct": rounded["f1"],
-    }
 
 
 def _emit(args: argparse.Namespace, report: dict) -> None:
     if args.output:
         emit_report(report, args.format, args.output)
     elif args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.write(report_json(report))
     else:
-        print(summary_csv_text(report), end="")
+        sys.stdout.write(summary_csv_text(report))
 
 
-class _TraceWriter:
-    """Line-delimited generation,min_fitness,max_fitness stream."""
-
-    def __init__(self, path: str):
-        self.handle = open(path, "w")
-        self.handle.write("generation,min_fitness,max_fitness\n")
-
-    def __call__(self, generation: int, min_fitness: float, max_fitness: float) -> None:
-        self.handle.write(f"{generation},{min_fitness!r},{max_fitness!r}\n")
-
-    def close(self) -> None:
-        self.handle.close()
+@contextmanager
+def _trace_sink(path: str | None):
+    """Line-delimited generation,min_fitness,max_fitness stream, or None."""
+    if not path:
+        yield None
+        return
+    with open(path, "w") as handle:
+        handle.write("generation,min_fitness,max_fitness\n")
+        yield lambda generation, low, high: handle.write(f"{generation},{low!r},{high!r}\n")
 
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, labels, projected, _ = prepare_points(config)
     write_projection_csv(args.output, projected, labels)
-    print(
-        json.dumps(
-            {
-                "explained_variance_ratio": list(projected.explained_variance_ratio or ()),
-                "standardized": config.standardize,
-                "n_points": projected.n_points,
-                "output": args.output,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    summary = {
+        "explained_variance_ratio": list(projected.explained_variance_ratio or ()),
+        "standardized": config.standardize,
+        "n_points": projected.n_points,
+        "output": args.output,
+    }
+    sys.stdout.write(report_json(summary))
     return 0
 
 
 def _cmd_kmeans(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, labels, projected, _ = prepare_points(config)
-    assignment = kmeans(projected, k=2, init=args.seed)
-    fitness = chromosome_fitness(projected, Chromosome(assignment.genes)).total
-    mapped = align_clusters_to_labels(assignment.genes, labels)
-    cm = confusion_matrix(mapped, labels)
-    report = {
-        "seed": args.seed,
-        "fitness": fitness,
-        "iterations": assignment.iterations,
-        "assignment": "".join(str(int(g)) for g in assignment.genes),
-        "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-        "metrics_display": _display(metrics(cm)),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(args, {"seed": config.seed, **kmeans_block(projected, labels, config.seed)})
     return 0
 
 
 def _cmd_hga(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, labels, projected, _ = prepare_points(config)
-    writer = _TraceWriter(args.trace_file) if args.trace_file else None
-    try:
-        result = run_hga(projected, hga_config_for(config, config.seed), trace_sink=writer)
-    finally:
-        if writer:
-            writer.close()
-    mapped = align_clusters_to_labels(result.best_chromosome.genes, labels)
-    cm = confusion_matrix(mapped, labels)
-    report = {
-        "seed": args.seed,
-        "best_fitness": result.best_fitness,
-        "generations_run": result.generations_run,
-        "terminated_by": result.terminated_by,
-        "assignment": result.best_chromosome.genes_string(),
-        "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-        "metrics_display": _display(metrics(cm)),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
+    with _trace_sink(args.trace_file) as sink:
+        block = hga_block(projected, labels, config, trace_sink=sink)
+    _emit(args, {"seed": config.seed, **block})
     return 0
 
 
@@ -234,32 +178,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise InputError(
             f"assignment length {genes.size} does not match dataset size {labels.size}"
         )
-    mapped = align_clusters_to_labels(genes, labels)
-    cm = confusion_matrix(mapped, labels)
-    m = metrics(cm)
-    report = {
-        "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-        "metrics": {
-            "accuracy_pct": m.accuracy,
-            "error_pct": m.error,
-            "recall_pct": m.recall,
-            "precision_pct": m.precision,
-            "f1_pct": m.f1,
-        },
-        "metrics_display": _display(m),
-    }
-    _emit(args, report)
+    _emit(args, evaluate_assignment(genes, labels))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    writer = _TraceWriter(args.trace_file) if args.trace_file else None
-    try:
-        report = run_experiment(config, trace_sink=writer)
-    finally:
-        if writer:
-            writer.close()
+    with _trace_sink(args.trace_file) as sink:
+        report = run_experiment(config, trace_sink=sink)
     if args.scatter:
         write_scatter_csv(report, args.scatter)
     _emit(args, report)

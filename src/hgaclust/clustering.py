@@ -58,22 +58,11 @@ class FitnessBreakdown:
     low_centroid: tuple[float, float] | None
     high_centroid: tuple[float, float] | None
 
-    @property
-    def centroids(self) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
-        return (self.low_centroid, self.high_centroid)
-
 
 def as_points(points: ProjectedDataset | np.ndarray) -> np.ndarray:
     if isinstance(points, ProjectedDataset):
         return points.points
     return np.asarray(points, dtype=np.float64)
-
-
-def euclidean_distance(a, b) -> float:
-    """Plain Euclidean distance between two 2-D points."""
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy)
 
 
 def _cluster_stats(xy: np.ndarray) -> tuple[tuple[float, float] | None, float]:
@@ -90,31 +79,6 @@ def _cluster_stats(xy: np.ndarray) -> tuple[tuple[float, float] | None, float]:
     return (cx, cy), math.fsum(np.sqrt(dx * dx + dy * dy).tolist())
 
 
-def _check_lengths(xy: np.ndarray, chrom: Chromosome) -> None:
-    if chrom.genes.size != xy.shape[0]:
-        raise ContractError(
-            f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}"
-        )
-
-
-def centroid(
-    points: ProjectedDataset | np.ndarray, chrom: Chromosome, cluster: int
-) -> tuple[float, float] | None:
-    """Mean of the cluster's member coordinates; None if it has no members."""
-    xy = as_points(points)
-    _check_lengths(xy, chrom)
-    return _cluster_stats(xy[chrom.genes == cluster])[0]
-
-
-def cluster_fitness(
-    points: ProjectedDataset | np.ndarray, chrom: Chromosome, cluster: int
-) -> float:
-    """Sum of member-to-centroid distances; 0 for empty or singleton clusters."""
-    xy = as_points(points)
-    _check_lengths(xy, chrom)
-    return _cluster_stats(xy[chrom.genes == cluster])[1]
-
-
 def chromosome_fitness(
     points: ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
@@ -123,7 +87,10 @@ def chromosome_fitness(
     The total is cached on the chromosome.
     """
     xy = as_points(points)
-    _check_lengths(xy, chrom)
+    if chrom.genes.size != xy.shape[0]:
+        raise ContractError(
+            f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}"
+        )
     mask = chrom.genes == 1
     low_centroid, low_fit = _cluster_stats(xy[~mask])
     high_centroid, high_fit = _cluster_stats(xy[mask])

@@ -59,11 +59,6 @@ class RawDataset:
         return self.values.shape[0]
 
     @property
-    def rows(self) -> list[dict[str, float]]:
-        """Rows as name -> value records (NaN for missing cells)."""
-        return [dict(zip(self.columns, row)) for row in self.values.tolist()]
-
-    @property
     def fully_imputed(self) -> bool:
         return not np.isnan(self.values).any()
 

@@ -9,9 +9,10 @@ normalized. Replicate seeds are derived as base_seed + i.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 from statistics import median
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .clustering import Chromosome, chromosome_fitness, kmeans
 from .dataset import impute_missing, load_heart_csv, split_features_target, standardize
-from .errors import HgaClustError, InputError
+from .errors import HgaClustError, InputError, InsufficientDataError
 from .evaluation import align_clusters_to_labels, confusion_matrix, metrics
 from .hga import HgaConfig, run_hga
 from .pca import covariance_matrix, project, symmetric_eigendecomposition
@@ -29,46 +30,33 @@ from .pca import covariance_matrix, project, symmetric_eigendecomposition
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(HgaConfig):
+    """The GA knobs plus the pipeline's data and reporting settings."""
+
     input: str
-    seed: int = 0
-    population_size: int = 2500
-    doldrum_factor: int = 2
-    max_generations: int = 1_000_000
-    improvement_enabled: bool = True
-    mutation_enabled: bool = True
-    improve_initial_population: bool = False
     standardize: bool = True
     impute_strategy: str = "median"
     replicates: int = 1
     normalize_timings: bool = False
 
-    def echo(self) -> dict:
-        return {
-            "input": self.input,
-            "seed": self.seed,
-            "population_size": self.population_size,
-            "doldrum_factor": self.doldrum_factor,
-            "max_generations": self.max_generations,
-            "improvement_enabled": self.improvement_enabled,
-            "mutation_enabled": self.mutation_enabled,
-            "improve_initial_population": self.improve_initial_population,
-            "standardize": self.standardize,
-            "impute_strategy": self.impute_strategy,
-            "replicates": self.replicates,
-            "normalize_timings": self.normalize_timings,
-        }
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.replicates < 1:
+            raise InputError(f"replicates must be at least 1, got {self.replicates}")
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, timings: dict[str, float]):
+    """Prefix the stage name to package errors and record its wall time."""
+    start = time.perf_counter()
     try:
         yield
     except HgaClustError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"{name}: {exc}") from exc
+    timings[name] = time.perf_counter() - start
 
 
 def prepare_points(config: ExperimentConfig):
@@ -77,23 +65,20 @@ def prepare_points(config: ExperimentConfig):
     Returns (data, features, labels, projected, stage timings).
     """
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    with _stage("dataset"):
+    with _stage("dataset", timings):
         raw = load_heart_csv(config.input)
         data = impute_missing(raw, config.impute_strategy)
         features, labels = split_features_target(data)
         if config.standardize:
             features = standardize(features)
-    timings["dataset"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    with _stage("pca"):
+    with _stage("pca", timings):
         eig = symmetric_eigendecomposition(covariance_matrix(features))
         projected = project(features, eig, k=2)
-    timings["pca"] = time.perf_counter() - t1
     return data, features, labels, projected, timings
 
 
-def _evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
+def evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
+    """Label mapping, confusion counts and the five metrics of one assignment."""
     mapped = align_clusters_to_labels(genes, labels)
     cm = confusion_matrix(mapped, labels)
     m = metrics(cm)
@@ -118,42 +103,55 @@ def _evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
     }
 
 
-def hga_config_for(config: ExperimentConfig, seed: int) -> HgaConfig:
-    return HgaConfig(
-        population_size=config.population_size,
-        doldrum_factor=config.doldrum_factor,
-        max_generations=config.max_generations,
-        improvement_enabled=config.improvement_enabled,
-        mutation_enabled=config.mutation_enabled,
-        improve_initial_population=config.improve_initial_population,
-        seed=seed,
-    )
+def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
+    """The report's ``kmeans`` block: the seeded two-cluster baseline."""
+    baseline = kmeans(projected, k=2, init=seed)
+    fitness = chromosome_fitness(projected, Chromosome(baseline.genes)).total
+    if not math.isfinite(fitness):
+        raise InsufficientDataError(
+            "the projected points cannot be split into two non-empty clusters"
+        )
+    return {
+        "fitness": fitness,
+        "iterations": baseline.iterations,
+        "objective_trace": baseline.objective_trace,
+        "distance_trace": baseline.distance_trace,
+        "assignment": "".join(str(int(g)) for g in baseline.genes),
+        **evaluate_assignment(baseline.genes, labels),
+    }
+
+
+def hga_block(projected, labels: np.ndarray, config: HgaConfig, trace_sink=None) -> dict:
+    """The report's ``hga`` block: one hybrid GA run under ``config``."""
+    result = run_hga(projected, config, trace_sink=trace_sink)
+    if not math.isfinite(result.best_fitness):
+        raise InputError(
+            f"no chromosome with two non-empty clusters after {result.generations_run} "
+            "generations; try a larger population"
+        )
+    return {
+        "best_fitness": result.best_fitness,
+        "generations_run": result.generations_run,
+        "terminated_by": result.terminated_by,
+        "min_fitness_trace": result.min_fitness_trace,
+        "assignment": result.best_chromosome.genes_string(),
+        **evaluate_assignment(result.best_chromosome.genes, labels),
+    }
 
 
 def _run_single(config: ExperimentConfig, seed: int, trace_sink=None) -> dict:
     """One full pipeline pass for one seed; returns the per-seed report body."""
     t0 = time.perf_counter()
     data, features, labels, projected, timings = prepare_points(config)
-
-    with _stage("kmeans"):
-        t1 = time.perf_counter()
-        baseline = kmeans(projected, k=2, init=seed)
-        timings["kmeans"] = time.perf_counter() - t1
-        baseline_fitness = chromosome_fitness(projected, Chromosome(baseline.genes)).total
-
-    with _stage("hga"):
-        t2 = time.perf_counter()
-        result = run_hga(projected, hga_config_for(config, seed), trace_sink=trace_sink)
-        timings["hga"] = time.perf_counter() - t2
-
-    with _stage("evaluate"):
-        kmeans_eval = _evaluate_assignment(baseline.genes, labels)
-        hga_eval = _evaluate_assignment(result.best_chromosome.genes, labels)
-
+    with _stage("kmeans", timings):
+        kmeans_report = kmeans_block(projected, labels, seed)
+    with _stage("hga", timings):
+        hga_report = hga_block(projected, labels, replace(config, seed=seed), trace_sink)
     timings["total"] = time.perf_counter() - t0
 
     low_count = int((labels == 0).sum())
-    mapped_hga = align_clusters_to_labels(result.best_chromosome.genes, labels)
+    # the scatter's prediction is the HGA assignment relabeled onto the classes
+    flipped = hga_report["label_mapping"] == "flipped"
     return {
         "dataset": {
             "n_rows": data.n_rows,
@@ -166,26 +164,12 @@ def _run_single(config: ExperimentConfig, seed: int, trace_sink=None) -> dict:
             "standardized": config.standardize,
             "explained_variance_ratio": list(projected.explained_variance_ratio or ()),
         },
-        "kmeans": {
-            "fitness": baseline_fitness,
-            "iterations": baseline.iterations,
-            "objective_trace": baseline.objective_trace,
-            "distance_trace": baseline.distance_trace,
-            "assignment": "".join(str(int(g)) for g in baseline.genes),
-            **kmeans_eval,
-        },
-        "hga": {
-            "best_fitness": result.best_fitness,
-            "generations_run": result.generations_run,
-            "terminated_by": result.terminated_by,
-            "min_fitness_trace": result.min_fitness_trace,
-            "assignment": result.best_chromosome.genes_string(),
-            **hga_eval,
-        },
+        "kmeans": kmeans_report,
+        "hga": hga_report,
         "scatter": {
             "pc1": projected.points[:, 0].tolist(),
             "pc2": projected.points[:, 1].tolist(),
-            "predicted": [int(g) for g in mapped_hga],
+            "predicted": [int(g) ^ flipped for g in hga_report["assignment"]],
             "actual": [int(v) for v in labels],
         },
         "timings_s": timings,
@@ -198,12 +182,10 @@ def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
     ``trace_sink`` receives (generation, min_fitness, max_fitness) for the
     base-seed run only.
     """
-    if config.replicates < 1:
-        raise InputError(f"replicates must be at least 1, got {config.replicates}")
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
-        "config": config.echo(),
+        "config": asdict(config),
     }
     report.update(_run_single(config, config.seed, trace_sink=trace_sink))
 
@@ -287,11 +269,16 @@ def summary_csv_text(report: dict) -> str:
     return header + "\n" + ",".join(str(v) for v in row) + "\n"
 
 
+def report_json(report: dict) -> str:
+    """The one JSON spelling of every report; NaN and infinity are refused."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def emit_report(report: dict, format: str = "json", path: str | Path = "report.json") -> Path:
     """Write the report as full JSON or a one-row CSV of headline metrics."""
     path = Path(path)
     if format == "json":
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        path.write_text(report_json(report))
     elif format == "csv-summary":
         path.write_text(summary_csv_text(report))
     else:

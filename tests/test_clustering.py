@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgaclust.clustering import (
-    Chromosome,
-    centroid,
-    chromosome_fitness,
-    cluster_fitness,
-    euclidean_distance,
-    kmeans,
-)
+from hgaclust.clustering import Chromosome, chromosome_fitness, kmeans
 from hgaclust.errors import ContractError, InfeasibleError
 
 from oracles import brute_force_min_fitness, python_fitness
@@ -31,51 +24,38 @@ def points_and_genes(draw, min_size=2, max_size=24):
     return pts, genes
 
 
-class TestDistance:
-    def test_three_four_five(self):
-        assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-
-    def test_identical_points(self):
-        assert euclidean_distance((2.5, -1.0), (2.5, -1.0)) == 0.0
-
-    def test_unit_diagonal(self):
-        assert euclidean_distance((1.0, 1.0), (2.0, 2.0)) == pytest.approx(
-            math.sqrt(2), abs=1e-12
-        )
-
-
 class TestCentroid:
     def test_midpoint(self):
         pts = np.array([[0.0, 0.0], [0.0, 2.0]])
-        assert centroid(pts, chrom([0, 0]), 0) == (0.0, 1.0)
+        assert chromosome_fitness(pts, chrom([0, 0])).low_centroid == (0.0, 1.0)
 
     def test_singleton(self):
         pts = np.array([[7.0, -3.0], [1.0, 1.0]])
-        assert centroid(pts, chrom([0, 1]), 0) == (7.0, -3.0)
+        assert chromosome_fitness(pts, chrom([0, 1])).low_centroid == (7.0, -3.0)
 
     def test_empty_cluster_marker(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert centroid(pts, chrom([1, 1]), 0) is None
+        assert chromosome_fitness(pts, chrom([1, 1])).low_centroid is None
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            centroid(np.zeros((3, 2)), chrom([0, 1]), 0)
+            chromosome_fitness(np.zeros((3, 2)), chrom([0, 1]))
 
 
 class TestClusterFitness:
     def test_symmetric_pair(self):
         pts = np.array([[0.0, 0.0], [0.0, 2.0]])
-        assert cluster_fitness(pts, chrom([0, 0]), 0) == 2.0
+        assert chromosome_fitness(pts, chrom([0, 0])).low_fitness == 2.0
 
     def test_singleton_is_zero(self):
         pts = np.array([[5.0, 5.0], [0.0, 0.0]])
-        assert cluster_fitness(pts, chrom([0, 1]), 0) == 0.0
+        assert chromosome_fitness(pts, chrom([0, 1])).low_fitness == 0.0
 
     def test_three_point_hand_computation(self):
         # centroid (2, 1); distances sqrt(5), sqrt(5), 2
         pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
         expected = 2 * math.sqrt(5.0) + 2.0
-        value = cluster_fitness(pts, chrom([0, 0, 0]), 0)
+        value = chromosome_fitness(pts, chrom([0, 0, 0])).low_fitness
         assert value == pytest.approx(expected, abs=1e-12)
         # independent brute-force cross-check
         brute = math.fsum(
@@ -95,7 +75,8 @@ class TestChromosomeFitness:
         assert breakdown.low_fitness == 2.0
         assert breakdown.high_fitness == 2.0
         assert breakdown.total == 4.0
-        assert breakdown.centroids == ((0.0, 1.0), (10.0, 1.0))
+        assert breakdown.low_centroid == (0.0, 1.0)
+        assert breakdown.high_centroid == (10.0, 1.0)
 
     def test_empty_cluster_is_infinite(self):
         pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])

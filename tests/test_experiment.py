@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
@@ -17,6 +18,8 @@ from hgaclust.experiment import (
 )
 
 SMALL = dict(population_size=25, seed=11)
+ROW_A = "52,1,0,166,350,0,1,133,1,2.3,1,2,2,1"
+ROW_B = "48,0,3,145,298,0,0,134,0,0.2,2,0,2,0"
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +258,74 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3\n")
         assert cli.main(["experiment", "--input", str(bad)]) == 2
+
+    def test_zero_replicates_exit_code(self, heart_csv):
+        assert cli.main(["experiment", "--input", heart_csv, "--replicates", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["kmeans"], ["hga", "--population-size", "20"]], ids=["kmeans", "hga"]
+    )
+    def test_csv_summary_format(self, argv, heart_csv, capsys):
+        code = cli.main(
+            [*argv, "--input", heart_csv, "--seed", "2", "--format", "csv-summary"]
+        )
+        assert code == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "tp,tn,fp,fn,accuracy_pct,error_pct,recall_pct,precision_pct,f1_pct"
+        assert sum(int(v) for v in row.split(",")[:4]) == 303
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            # identical rows project onto one point, so k-means leaves a cluster empty
+            (["experiment"], [ROW_A] * 20),
+            (["kmeans"], [ROW_A] * 20),
+            # two points, two chromosomes: seed 1 draws [1, 1] twice, and neither
+            # crossover nor the two-gene mutation can split the points from there
+            (["experiment", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B]),
+            (["hga", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B]),
+        ],
+        ids=["experiment-kmeans", "kmeans", "experiment-hga", "hga"],
+    )
+    def test_unsplit_points_exit_code(self, argv, rows, tmp_path, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        code = cli.main([*argv, "--input", str(csv_path), "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out + captured.err
+
+
+class TestConfigSingleSourced:
+    def test_fields_match_schema(self):
+        required = load_report_schema()["properties"]["config"]["required"]
+        assert {f.name for f in fields(ExperimentConfig)} == set(required)
+
+    def test_every_flag_echoed(self, heart_csv, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            [
+                "experiment", "--input", heart_csv, "--seed", "7",
+                "--population-size", "10", "--no-improvement", "--no-mutation",
+                "--improve-initial", "--impute", "drop", "--no-standardize",
+                "--doldrum-factor", "3", "--max-generations", "50", "--replicates", "2",
+                "--normalize-timings", "--output", str(out),
+            ]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["config"] == {
+            "input": heart_csv,
+            "seed": 7,
+            "population_size": 10,
+            "doldrum_factor": 3,
+            "max_generations": 50,
+            "improvement_enabled": False,
+            "mutation_enabled": False,
+            "improve_initial_population": True,
+            "standardize": False,
+            "impute_strategy": "drop",
+            "replicates": 2,
+            "normalize_timings": True,
+        }
