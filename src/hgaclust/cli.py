@@ -8,8 +8,8 @@ Subcommands mirror the pipeline stages so each is independently runnable:
   evaluate    score a saved 0/1 assignment against the dataset labels
   experiment  the full pipeline, optionally replicated over seeds
 
-Exit status: 0 on success, 2 for input problems, 3 for contract
-violations.
+Exit status: 0 on success, 2 for a bad flag value, file or dataset, 3
+for an internal contract violation.
 """
 
 from __future__ import annotations
@@ -170,7 +170,10 @@ def _cmd_hga(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, labels, _, _ = prepare_points(config)
-    text = Path(args.assignment).read_text().strip()
+    try:
+        text = Path(args.assignment).read_text().strip()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.assignment}: {exc}") from None
     if not text or set(text) - {"0", "1"}:
         raise InputError(f"{args.assignment}: expected a string of 0s and 1s")
     genes = np.array([int(c) for c in text], dtype=np.uint8)

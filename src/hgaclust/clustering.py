@@ -1,10 +1,14 @@
-"""Assignment chromosomes, the two-cluster fitness, and plain k-means.
+"""Assignment chromosomes, the two-cluster fitness, and seeded 2-means.
 
 A chromosome assigns each projected point to cluster 0 (low risk) or 1
 (high risk). Its fitness is the sum over both clusters of plain
 (unsquared) Euclidean distances from members to their cluster mean;
 lower is better. A chromosome that leaves either cluster empty gets
 fitness +inf so it loses every replacement comparison.
+
+The two-cluster geometry (centroid, distances, one nearest-centroid
+reassignment pass) is written once: the GA's improvement step is one
+pass, and the k-means baseline is that pass repeated until no point moves.
 
 All sums use math.fsum, which is correctly rounded, so fitness values are
 bit-identical regardless of evaluation order and can be compared exactly
@@ -20,6 +24,8 @@ import numpy as np
 
 from .errors import ContractError, InfeasibleError
 from .pca import ProjectedDataset
+
+KMEANS_MAX_ITER = 100
 
 
 @dataclass
@@ -65,18 +71,25 @@ def as_points(points: ProjectedDataset | np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=np.float64)
 
 
+def _centroid(xy: np.ndarray) -> tuple[float, float]:
+    """Mean of a non-empty cluster, each axis summed with fsum."""
+    k = xy.shape[0]
+    return math.fsum(xy[:, 0].tolist()) / k, math.fsum(xy[:, 1].tolist()) / k
+
+
+def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
+    """Euclidean distance of every point to one centroid."""
+    dx = xy[:, 0] - centroid[0]
+    dy = xy[:, 1] - centroid[1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def _cluster_stats(xy: np.ndarray) -> tuple[tuple[float, float] | None, float]:
     """(centroid, sum of member-to-centroid distances) for one cluster."""
-    k = xy.shape[0]
-    if k == 0:
+    if xy.shape[0] == 0:
         return None, 0.0
-    cx = math.fsum(xy[:, 0].tolist()) / k
-    cy = math.fsum(xy[:, 1].tolist()) / k
-    if k == 1:
-        return (cx, cy), 0.0
-    dx = xy[:, 0] - cx
-    dy = xy[:, 1] - cy
-    return (cx, cy), math.fsum(np.sqrt(dx * dx + dy * dy).tolist())
+    centroid = _centroid(xy)
+    return centroid, math.fsum(_distances(xy, centroid).tolist())
 
 
 def chromosome_fitness(
@@ -102,6 +115,23 @@ def chromosome_fitness(
     return FitnessBreakdown(low_fit, high_fit, total, low_centroid, high_centroid)
 
 
+def reassign_nearest(
+    xy: np.ndarray, low: tuple[float, float], high: tuple[float, float], genes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One nearest-centroid pass over fixed low and high centroids.
+
+    A point moves only to a strictly nearer centroid, so a tie keeps its
+    current gene. Returns the new genes and each point's distance to its
+    new centroid.
+    """
+    d_low = _distances(xy, low)
+    d_high = _distances(xy, high)
+    new_genes = np.where(
+        d_high < d_low, np.uint8(1), np.where(d_low < d_high, np.uint8(0), genes)
+    )
+    return new_genes, np.minimum(d_low, d_high)
+
+
 @dataclass
 class Assignment:
     """k-means result.
@@ -118,64 +148,31 @@ class Assignment:
     distance_trace: list[float]
 
 
-def kmeans(
-    points: ProjectedDataset | np.ndarray,
-    k: int = 2,
-    init: int | np.random.Generator | np.ndarray | None = None,
-    max_iter: int = 100,
-    tol: float = 0.0,
-) -> Assignment:
-    """Lloyd iterations until assignments stabilize.
+def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
+    """Seeded 2-means: :func:`reassign_nearest` repeated until no point moves.
 
-    ``init`` is a seed/Generator (k distinct data points are drawn as the
-    starting centroids) or an explicit (k, 2) centroid array. Ties in the
-    nearest-centroid step keep the current assignment when it is among the
-    tied minima, otherwise take the lowest cluster index. A cluster left
-    empty keeps its previous centroid. ``tol > 0`` additionally stops when
-    the squared objective improves by less than tol.
+    The starting centroids are two distinct data points drawn with
+    ``default_rng(seed)``. The first pass starts from all-zero genes, so
+    a point equidistant from both starts joins cluster 0, and it always
+    counts as an iteration. A cluster left empty keeps its centroid.
     """
     xy = as_points(points)
     n = xy.shape[0]
-    if k < 1 or k > n:
-        raise InfeasibleError(f"k={k} clusters infeasible for {n} points")
-    if max_iter < 1:
-        raise ContractError("max_iter must be at least 1")
-
-    if isinstance(init, np.ndarray):
-        centroids = init.astype(np.float64).copy()
-        if centroids.shape != (k, 2):
-            raise ContractError(f"expected {k} x 2 initial centroids, got {init.shape}")
-    else:
-        rng = init if isinstance(init, np.random.Generator) else np.random.default_rng(init)
-        centroids = xy[rng.choice(n, size=k, replace=False)].copy()
-
-    assign: np.ndarray | None = None
+    if n < 2:
+        raise InfeasibleError(f"2 clusters infeasible for {n} points")
+    centroids = xy[np.random.default_rng(seed).choice(n, size=2, replace=False)].tolist()
+    genes = np.zeros(n, dtype=np.uint8)
     objective_trace: list[float] = []
     distance_trace: list[float] = []
-    iterations = 0
-    while iterations < max_iter:
-        diffs = xy[:, None, :] - centroids[None, :, :]
-        dists = np.sqrt((diffs * diffs).sum(axis=2))
-        best = dists.min(axis=1)
-        new_assign = dists.argmin(axis=1)
-        if assign is not None:
-            keep = dists[np.arange(n), assign] == best
-            new_assign = np.where(keep, assign, new_assign)
-            if np.array_equal(new_assign, assign):
-                break
-        assign = new_assign
-        assigned = dists[np.arange(n), assign]
+    for _ in range(KMEANS_MAX_ITER):
+        new_genes, assigned = reassign_nearest(xy, centroids[0], centroids[1], genes)
+        if distance_trace and np.array_equal(new_genes, genes):
+            break
+        genes = new_genes
         objective_trace.append(math.fsum((assigned * assigned).tolist()))
         distance_trace.append(math.fsum(assigned.tolist()))
-        for j in range(k):
-            members = xy[assign == j]
+        for j in (0, 1):
+            members = xy[genes == j]
             if members.shape[0]:
-                centroids[j, 0] = math.fsum(members[:, 0].tolist()) / members.shape[0]
-                centroids[j, 1] = math.fsum(members[:, 1].tolist()) / members.shape[0]
-        iterations += 1
-        if tol > 0 and len(objective_trace) >= 2 and objective_trace[-2] - objective_trace[-1] < tol:
-            break
-
-    assert assign is not None
-    dtype = np.uint8 if k <= 256 else np.int64
-    return Assignment(assign.astype(dtype), iterations, objective_trace, distance_trace)
+                centroids[j] = _centroid(members)
+    return Assignment(genes, len(distance_trace), objective_trace, distance_trace)

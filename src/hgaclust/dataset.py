@@ -107,16 +107,19 @@ def load_heart_csv(path: str | Path, schema: tuple[str, ...] = HEART_COLUMNS) ->
 
     Missing cells (``?``) are flagged in ``imputed_cells`` but not filled;
     call :func:`impute_missing` before feature extraction. Raises
-    FileNotFoundError, MalformedInputError (naming row and column) or
-    SchemaError.
+    FileNotFoundError, MalformedInputError (naming row and column, or
+    the undecodable byte or oversized field) or SchemaError.
     """
     columns = tuple(schema)
     if "target" not in columns:
         raise SchemaError("schema has no 'target' column")
     target_idx = columns.index("target")
 
-    with open(path, newline="") as handle:
-        raw_rows = [row for row in csv.reader(handle)]
+    try:
+        with open(path, newline="") as handle:
+            raw_rows = list(csv.reader(handle))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedInputError(f"{path}: {exc}") from None
     if not raw_rows:
         raise MalformedInputError(f"{path}: file is empty")
 

@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
 Two families matter for the CLI exit status: InputError (bad files, bad
-data, exit code 2) and ContractError (API misuse or broken internal
-contracts, exit code 3).
+data or bad flag values, exit code 2) and ContractError (API misuse or
+broken internal contracts, exit code 3).
 """
 
 

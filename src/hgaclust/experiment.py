@@ -14,6 +14,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from statistics import median
 
@@ -105,7 +106,7 @@ def evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
 
 def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
     """The report's ``kmeans`` block: the seeded two-cluster baseline."""
-    baseline = kmeans(projected, k=2, init=seed)
+    baseline = kmeans(projected, seed)
     fitness = chromosome_fitness(projected, Chromosome(baseline.genes)).total
     if not math.isfinite(fitness):
         raise InsufficientDataError(
@@ -139,15 +140,14 @@ def hga_block(projected, labels: np.ndarray, config: HgaConfig, trace_sink=None)
     }
 
 
-def _run_single(config: ExperimentConfig, seed: int, trace_sink=None) -> dict:
-    """One full pipeline pass for one seed; returns the per-seed report body."""
-    t0 = time.perf_counter()
-    data, features, labels, projected, timings = prepare_points(config)
+def _run_single(config: ExperimentConfig, seed: int, prepared, trace_sink=None) -> dict:
+    """One seed's pass over the prepared points; returns the per-seed report body."""
+    data, features, labels, projected, prepare_timings = prepared
+    timings = dict(prepare_timings)
     with _stage("kmeans", timings):
         kmeans_report = kmeans_block(projected, labels, seed)
     with _stage("hga", timings):
         hga_report = hga_block(projected, labels, replace(config, seed=seed), trace_sink)
-    timings["total"] = time.perf_counter() - t0
 
     low_count = int((labels == 0).sum())
     # the scatter's prediction is the HGA assignment relabeled onto the classes
@@ -179,33 +179,33 @@ def _run_single(config: ExperimentConfig, seed: int, trace_sink=None) -> dict:
 def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
     """Full report for the base seed, plus per-seed rows when replicating.
 
-    ``trace_sink`` receives (generation, min_fitness, max_fitness) for the
-    base-seed run only.
+    Every seed shares one prepared set of points. ``trace_sink`` receives
+    (generation, min_fitness, max_fitness) for the base-seed run only.
     """
+    t0 = time.perf_counter()
+    prepared = prepare_points(config)
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "config": asdict(config),
+        **_run_single(config, config.seed, prepared, trace_sink),
     }
-    report.update(_run_single(config, config.seed, trace_sink=trace_sink))
+    report["timings_s"]["total"] = time.perf_counter() - t0
 
-    rows = []
-    for i in range(config.replicates):
-        seed = config.seed + i
-        if i == 0:
-            body = report  # base run is reused, not recomputed
-        else:
-            body = _run_single(config, seed)
-        rows.append(
-            {
-                "seed": seed,
-                "hga_fitness": body["hga"]["best_fitness"],
-                "hga_accuracy_pct": body["hga"]["metrics"]["accuracy_pct"],
-                "kmeans_fitness": body["kmeans"]["fitness"],
-                "kmeans_accuracy_pct": body["kmeans"]["metrics"]["accuracy_pct"],
-                "generations_run": body["hga"]["generations_run"],
-            }
-        )
+    replicates = (
+        _run_single(config, config.seed + i, prepared) for i in range(1, config.replicates)
+    )
+    rows = [
+        {
+            "seed": config.seed + i,
+            "hga_fitness": body["hga"]["best_fitness"],
+            "hga_accuracy_pct": body["hga"]["metrics"]["accuracy_pct"],
+            "kmeans_fitness": body["kmeans"]["fitness"],
+            "kmeans_accuracy_pct": body["kmeans"]["metrics"]["accuracy_pct"],
+            "generations_run": body["hga"]["generations_run"],
+        }
+        for i, body in enumerate(chain([report], replicates))
+    ]
     report["replicates"] = rows
     if config.replicates > 1:
         wins = sum(1 for r in rows if r["hga_accuracy_pct"] >= r["kmeans_accuracy_pct"])

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .clustering import Chromosome, as_points, chromosome_fitness
-from .errors import ContractError
+from .clustering import Chromosome, as_points, chromosome_fitness, reassign_nearest
+from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
 
@@ -37,9 +37,9 @@ class HgaConfig:
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
-            raise ContractError("population_size must be at least 2")
+            raise InputError("population_size must be at least 2")
         if self.doldrum_factor < 1 or self.max_generations < 1:
-            raise ContractError("doldrum_factor and max_generations must be positive")
+            raise InputError("doldrum_factor and max_generations must be positive")
 
 
 @dataclass
@@ -163,22 +163,17 @@ def two_point_mutation(
 def deterministic_improvement(points, chrom: Chromosome) -> Chromosome:
     """One nearest-centroid reassignment pass with guarded acceptance.
 
-    Both centroids are computed from the input chromosome and held fixed;
-    each point moves only to a strictly nearer centroid. The candidate is
-    kept only if its recomputed fitness does not exceed the input's, so
-    this step can never make a chromosome worse. A chromosome with an
-    empty cluster is returned unchanged.
+    Both centroids are computed from the input chromosome and held fixed
+    for one :func:`reassign_nearest` pass. The candidate is kept only if
+    its recomputed fitness does not exceed the input's, so this step can
+    never make a chromosome worse. A chromosome with an empty cluster is
+    returned unchanged.
     """
     xy = as_points(points)
     base = chromosome_fitness(xy, chrom)
-    low, high = base.low_centroid, base.high_centroid
-    if low is None or high is None:
+    if base.low_centroid is None or base.high_centroid is None:
         return chrom
-    d_low = np.sqrt((xy[:, 0] - low[0]) ** 2 + (xy[:, 1] - low[1]) ** 2)
-    d_high = np.sqrt((xy[:, 0] - high[0]) ** 2 + (xy[:, 1] - high[1]) ** 2)
-    new_genes = np.where(
-        d_high < d_low, np.uint8(1), np.where(d_low < d_high, np.uint8(0), chrom.genes)
-    ).astype(np.uint8)
+    new_genes, _ = reassign_nearest(xy, base.low_centroid, base.high_centroid, chrom.genes)
     if np.array_equal(new_genes, chrom.genes):
         return chrom
     candidate = Chromosome(new_genes)

@@ -45,3 +45,41 @@ def brute_force_min_fitness(points):
             best = fitness
             best_genes = genes
     return best, best_genes
+
+
+def python_two_means(points, start):
+    """2-means from the data points at the two ``start`` indices, from scratch.
+
+    Returns (genes, iterations, objective_trace, distance_trace). The first
+    pass sends a point equidistant from both starts to cluster 0 and always
+    counts; after it a point moves only to a strictly nearer centroid, and
+    the loop stops once no point moves. An emptied cluster keeps its
+    centroid.
+    """
+    centroids = [list(points[i]) for i in start]
+    genes = [0] * len(points)
+    objective_trace, distance_trace = [], []
+    for _ in range(100):  # the library's KMEANS_MAX_ITER
+        new_genes, assigned = [], []
+        for (x, y), gene in zip(points, genes):
+            d = [math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) for cx, cy in centroids]
+            if d[0] < d[1]:
+                gene = 0
+            elif d[1] < d[0]:
+                gene = 1
+            new_genes.append(gene)
+            assigned.append(d[gene])
+        if distance_trace and new_genes == genes:
+            break
+        genes = new_genes
+        objective_trace.append(math.fsum(d * d for d in assigned))
+        distance_trace.append(math.fsum(assigned))
+        for cluster in (0, 1):
+            members = [p for p, g in zip(points, genes) if g == cluster]
+            if members:
+                k = len(members)
+                centroids[cluster] = [
+                    math.fsum(p[0] for p in members) / k,
+                    math.fsum(p[1] for p in members) / k,
+                ]
+    return genes, len(distance_trace), objective_trace, distance_trace

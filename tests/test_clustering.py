@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hgaclust.clustering import Chromosome, chromosome_fitness, kmeans
 from hgaclust.errors import ContractError, InfeasibleError
 
-from oracles import brute_force_min_fitness, python_fitness
+from oracles import brute_force_min_fitness, python_fitness, python_two_means
 
 
 def chrom(bits):
@@ -142,17 +142,18 @@ class TestChromosomeFitness:
 class TestKmeans:
     def test_fixed_point_converges_in_one_iteration(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        init = np.array([[0.0, 0.5], [10.0, 0.5]])
-        res = kmeans(pts, 2, init=init)
+        # seed 1 starts from points 1 and 2, one of each pair
+        assert np.random.default_rng(1).choice(4, size=2, replace=False).tolist() == [1, 2]
+        res = kmeans(pts, 1)
         assert res.iterations == 1
         assert res.genes.tolist() == [0, 0, 1, 1]
 
     def test_n_equals_k_zero_objective(self):
-        pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-        res = kmeans(pts, 3, init=1)
+        pts = np.array([[0.0, 0.0], [3.0, 0.0]])
+        res = kmeans(pts, 1)
         assert res.objective_trace[-1] == 0.0
         assert res.distance_trace[-1] == 0.0
-        assert len(set(res.genes.tolist())) == 3
+        assert sorted(res.genes.tolist()) == [0, 1]
 
     def test_two_gaussian_fixture_recovers_mixture(self):
         # seeded fixture: components 10 apart, sigma 0.8; perfect recovery frozen
@@ -161,7 +162,7 @@ class TestKmeans:
             [rng.normal((-5.0, 0.0), 0.8, size=(20, 2)), rng.normal((5.0, 0.0), 0.8, size=(20, 2))]
         )
         mixture = np.array([0] * 20 + [1] * 20)
-        res = kmeans(pts, 2, init=7)
+        res = kmeans(pts, 7)
         matches = max((res.genes == mixture).sum(), (res.genes != mixture).sum())
         assert matches >= 38
         assert matches == 40
@@ -170,7 +171,7 @@ class TestKmeans:
         rng = np.random.default_rng(77)
         for seed in range(10):
             pts = rng.normal(0, 4, size=(60, 2))
-            res = kmeans(pts, 2, init=seed)
+            res = kmeans(pts, seed)
             assert all(
                 later <= earlier
                 for earlier, later in zip(res.objective_trace, res.objective_trace[1:])
@@ -178,11 +179,23 @@ class TestKmeans:
 
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(InfeasibleError):
-            kmeans(np.zeros((2, 2)), 3, init=0)
+            kmeans(np.zeros((1, 2)), 0)
 
-    def test_tol_stops_on_small_improvement(self):
-        rng = np.random.default_rng(5)
-        pts = rng.normal(0, 4, size=(80, 2))
-        full = kmeans(pts, 2, init=3)
-        loose = kmeans(pts, 2, init=3, tol=1e12)
-        assert loose.iterations <= full.iterations
+    @pytest.mark.parametrize("kind", ["random", "tied", "identical"])
+    def test_matches_pure_python_oracle_exactly(self, kind):
+        rng = np.random.default_rng(31)
+        for seed in range(60):
+            n = int(rng.integers(2, 80))
+            if kind == "random":
+                pts = rng.normal(0, 5, size=(n, 2))
+            elif kind == "tied":  # a coarse grid puts many points equidistant from both centroids
+                pts = np.round(rng.normal(0, 1.5, size=(n, 2)))
+            else:
+                pts = np.tile(rng.normal(size=(1, 2)), (n, 1))
+            start = np.random.default_rng(seed).choice(n, size=2, replace=False).tolist()
+            genes, iterations, objective, distance = python_two_means(pts.tolist(), start)
+            res = kmeans(pts, seed)
+            assert res.genes.tolist() == genes
+            assert res.iterations == iterations
+            assert res.objective_trace == objective
+            assert res.distance_trace == distance

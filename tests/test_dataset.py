@@ -1,12 +1,15 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgaclust.dataset import (
     HEART_COLUMNS,
+    IMPUTE_STRATEGIES,
     FeatureMatrix,
     RawDataset,
     canonical_cell,
@@ -18,6 +21,7 @@ from hgaclust.dataset import (
 )
 from hgaclust.errors import (
     ContractError,
+    InputError,
     InsufficientDataError,
     MalformedInputError,
     SchemaError,
@@ -36,6 +40,25 @@ ROW_TEMPLATE = "63,1,3,145,233,1,0,150,0,2.3,0,{ca},{thal},1"
 
 def _rows(n, ca="0", thal="1"):
     return "\n".join(ROW_TEMPLATE.format(ca=ca, thal=thal) for _ in range(n)) + "\n"
+
+
+# the fixture's header, three complete rows and three rows with a "?" cell
+_FIXTURE_LINES = (Path(__file__).parent / "data" / "synthetic_heart.csv").read_bytes().splitlines()
+FUZZ_LINES = _FIXTURE_LINES[:4] + [_FIXTURE_LINES[i] for i in (19, 64, 90)]
+
+
+@st.composite
+def mutated_fixture_rows(draw):
+    """Fixture lines, then a few byte insertions, deletions and overwrites."""
+    lines = draw(st.lists(st.sampled_from(FUZZ_LINES), max_size=6))
+    text = bytearray(b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n"])))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        chunk = draw(st.sampled_from([b",", b"?", b"\n", b'"', b"-", b"e9", b"nan", b"\x00", b"\xff"])
+                     | st.binary(min_size=1, max_size=3))
+        cut = draw(st.integers(0, 3))
+        text[at:at + cut] = chunk if draw(st.booleans()) else b""
+    return bytes(text)
 
 
 class TestLoad:
@@ -103,6 +126,24 @@ class TestLoad:
         )
         data = load_heart_csv(_write(tmp_path, text))
         assert data.values[:, 13].tolist() == [0.0, 1.0]
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300)
+    @given(
+        content=st.binary(max_size=300) | mutated_fixture_rows(),
+        strategy=st.sampled_from(IMPUTE_STRATEGIES),
+    )
+    def test_load_and_impute_return_data_or_input_error(self, content, strategy):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(content)
+            try:
+                data = impute_missing(load_heart_csv(path), strategy)
+            except InputError:
+                return
+        assert isinstance(data, RawDataset)
+        assert not np.isnan(data.values).any()
 
 
 class TestRoundTrip:

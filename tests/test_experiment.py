@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hgaclust import cli
+from hgaclust import cli, experiment
 from hgaclust.dataset import impute_missing, load_heart_csv, split_features_target
 from oracles import brute_force_min_fitness
 from hgaclust.experiment import (
@@ -20,6 +20,7 @@ from hgaclust.experiment import (
 SMALL = dict(population_size=25, seed=11)
 ROW_A = "52,1,0,166,350,0,1,133,1,2.3,1,2,2,1"
 ROW_B = "48,0,3,145,298,0,0,134,0,0.2,2,0,2,0"
+BAD_GA_KNOBS = [["--population-size", "1"], ["--max-generations", "0"], ["--doldrum-factor", "0"]]
 
 
 @pytest.fixture(scope="module")
@@ -248,19 +249,51 @@ class TestCli:
         code = cli.main(["experiment", "--input", str(tmp_path / "missing.csv")])
         assert code == 2
 
-    def test_contract_violation_exit_code(self, heart_csv):
-        code = cli.main(
-            ["experiment", "--input", heart_csv, "--population-size", "1"]
-        )
-        assert code == 3
-
     def test_malformed_csv_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3\n")
         assert cli.main(["experiment", "--input", str(bad)]) == 2
 
-    def test_zero_replicates_exit_code(self, heart_csv):
-        assert cli.main(["experiment", "--input", heart_csv, "--replicates", "0"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, *knob] for command in ("experiment", "hga") for knob in BAD_GA_KNOBS]
+        + [["experiment", "--replicates", "0"]],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:2]),
+    )
+    def test_bad_knob_exit_code(self, argv, heart_csv, capsys):
+        assert cli.main([*argv, "--input", heart_csv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["experiment", "--input", "{bad}"], f"{ROW_A}\n{ROW_B}".encode() + b"\xff\n"),
+            (["experiment", "--input", "{bad}"], ("1" * 131_073 + ROW_A[2:] + "\n").encode()),
+            (["evaluate", "--input", "{heart_csv}", "--assignment", "{bad}"], b"01\xff"),
+        ],
+        ids=["non-utf8-csv", "oversized-cell", "non-utf8-assignment"],
+    )
+    def test_malformed_file_exit_code(self, argv, content, heart_csv, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        assert cli.main([arg.format(bad=bad, heart_csv=heart_csv) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_replicates_prepare_points_once(self, heart_csv, tmp_path, monkeypatch):
+        calls = []
+        prepare = experiment.prepare_points
+        monkeypatch.setattr(
+            experiment, "prepare_points", lambda config: calls.append(config) or prepare(config)
+        )
+        code = cli.main(
+            [
+                "experiment", "--input", heart_csv, "--replicates", "3",
+                "--population-size", "10", "--output", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "argv", [["kmeans"], ["hga", "--population-size", "20"]], ids=["kmeans", "hga"]
