@@ -24,7 +24,6 @@ from .dataset import (
     load_heart_csv,
     split_features_target,
     standardize,
-    write_heart_csv,
 )
 from .evaluation import (
     ConfusionMatrix,
@@ -60,7 +59,6 @@ __all__ = [
     "RawDataset",
     "FeatureMatrix",
     "load_heart_csv",
-    "write_heart_csv",
     "impute_missing",
     "standardize",
     "split_features_target",

@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline stages so each is independently runnable:
 
   pca         project the dataset onto (pc1, pc2) and export a plot CSV
-  kmeans      baseline Lloyd clustering of the projection
+  kmeans      seeded 2-means baseline clustering of the projection
   hga         hybrid genetic algorithm clustering
   evaluate    score a saved 0/1 assignment against the dataset labels
   experiment  the full pipeline, optionally replicated over seeds
@@ -30,9 +30,8 @@ from .experiment import (
     hga_block,
     kmeans_block,
     prepare_points,
-    report_json,
+    render_report,
     run_experiment,
-    summary_csv_text,
     write_scatter_csv,
 )
 from .pca import write_projection_csv
@@ -120,10 +119,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _emit(args: argparse.Namespace, report: dict) -> None:
     if args.output:
         emit_report(report, args.format, args.output)
-    elif args.format == "json":
-        sys.stdout.write(report_json(report))
     else:
-        sys.stdout.write(summary_csv_text(report))
+        sys.stdout.writelines(render_report(report, args.format))
 
 
 @contextmanager
@@ -142,12 +139,12 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     _, _, labels, projected, _ = prepare_points(config)
     write_projection_csv(args.output, projected, labels)
     summary = {
-        "explained_variance_ratio": list(projected.explained_variance_ratio or ()),
+        "explained_variance_ratio": list(projected.explained_variance_ratio),
         "standardized": config.standardize,
         "n_points": projected.n_points,
         "output": args.output,
     }
-    sys.stdout.write(report_json(summary))
+    sys.stdout.writelines(render_report(summary))
     return 0
 
 

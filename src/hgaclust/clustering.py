@@ -46,9 +46,6 @@ class Chromosome:
     def __len__(self) -> int:
         return self.genes.size
 
-    def copy(self) -> "Chromosome":
-        return Chromosome(self.genes.copy(), self.cached_fitness)
-
     def genes_string(self) -> str:
         """Serialized form used in reports, e.g. '01101'."""
         return "".join("1" if g else "0" for g in self.genes)

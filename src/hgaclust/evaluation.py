@@ -8,7 +8,7 @@ mapping). The positive class is high risk (label 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
@@ -40,13 +40,7 @@ class Metrics:
 
     def rounded(self) -> dict[str, float]:
         """Two decimal places, half away from zero (display formatting)."""
-        return {
-            "accuracy": round_percent(self.accuracy),
-            "error": round_percent(self.error),
-            "recall": round_percent(self.recall),
-            "precision": round_percent(self.precision),
-            "f1": round_percent(self.f1),
-        }
+        return {name: round_percent(value) for name, value in asdict(self).items()}
 
 
 def round_percent(value: float) -> float:

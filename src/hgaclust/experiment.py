@@ -17,6 +17,7 @@ from importlib import resources
 from itertools import chain
 from pathlib import Path
 from statistics import median
+from typing import Iterator
 
 import numpy as np
 
@@ -83,24 +84,11 @@ def evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
     mapped = align_clusters_to_labels(genes, labels)
     cm = confusion_matrix(mapped, labels)
     m = metrics(cm)
-    rounded = m.rounded()
     return {
         "label_mapping": "identity" if np.array_equal(mapped, genes) else "flipped",
-        "confusion": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
-        "metrics": {
-            "accuracy_pct": m.accuracy,
-            "error_pct": m.error,
-            "recall_pct": m.recall,
-            "precision_pct": m.precision,
-            "f1_pct": m.f1,
-        },
-        "metrics_display": {
-            "accuracy_pct": rounded["accuracy"],
-            "error_pct": rounded["error"],
-            "recall_pct": rounded["recall"],
-            "precision_pct": rounded["precision"],
-            "f1_pct": rounded["f1"],
-        },
+        "confusion": asdict(cm),
+        "metrics": {f"{name}_pct": value for name, value in asdict(m).items()},
+        "metrics_display": {f"{name}_pct": value for name, value in m.rounded().items()},
     }
 
 
@@ -162,7 +150,7 @@ def _run_single(config: ExperimentConfig, seed: int, prepared, trace_sink=None) 
         },
         "pca": {
             "standardized": config.standardize,
-            "explained_variance_ratio": list(projected.explained_variance_ratio or ()),
+            "explained_variance_ratio": list(projected.explained_variance_ratio),
         },
         "kmeans": kmeans_report,
         "hga": hga_report,
@@ -233,56 +221,46 @@ def load_report_schema() -> dict:
     return json.loads(text)
 
 
-def summary_csv_text(report: dict) -> str:
-    """Header plus one row of headline metrics."""
+def render_report(report: dict, format: str = "json") -> Iterator[str]:
+    """The report's text in chunks: full JSON, or a header plus one row of headline metrics.
+
+    Chunks spare a large report one whole string and its encoded copy.
+    JSON refuses NaN and infinity. The CSV columns follow the report's
+    insertion order, so the metric columns come in :class:`Metrics` order.
+    """
+    if format == "json":
+        yield from json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(report)
+        yield "\n"
+        return
+    if format != "csv-summary":
+        raise ValueError(f"unknown report format {format!r}")
     if "hga" in report:
-        display = report["hga"]["metrics_display"]
-        row = [
-            report["config"]["seed"],
-            report["dataset"]["n_rows"],
-            report["config"]["standardize"],
-            report["config"]["impute_strategy"],
-            report["kmeans"]["metrics_display"]["accuracy_pct"],
-            report["kmeans"]["fitness"],
-            report["hga"]["best_fitness"],
-            display["accuracy_pct"],
-            display["error_pct"],
-            display["recall_pct"],
-            display["precision_pct"],
-            display["f1_pct"],
-            report["hga"]["generations_run"],
-        ]
-        header = (
-            "seed,n_rows,standardize,impute_strategy,kmeans_accuracy_pct,kmeans_fitness,"
-            "hga_fitness,hga_accuracy_pct,hga_error_pct,hga_recall_pct,hga_precision_pct,"
-            "hga_f1_pct,hga_generations"
-        )
+        config, hga = report["config"], report["hga"]
+        columns = {
+            "seed": config["seed"],
+            "n_rows": report["dataset"]["n_rows"],
+            "standardize": config["standardize"],
+            "impute_strategy": config["impute_strategy"],
+            "kmeans_accuracy_pct": report["kmeans"]["metrics_display"]["accuracy_pct"],
+            "kmeans_fitness": report["kmeans"]["fitness"],
+            "hga_fitness": hga["best_fitness"],
+            **{f"hga_{key}": value for key, value in hga["metrics_display"].items()},
+            "hga_generations": hga["generations_run"],
+        }
     else:  # evaluation-only report (confusion + metrics)
-        display = report["metrics_display"]
-        cm = report["confusion"]
-        row = [
-            cm["tp"], cm["tn"], cm["fp"], cm["fn"],
-            display["accuracy_pct"], display["error_pct"], display["recall_pct"],
-            display["precision_pct"], display["f1_pct"],
-        ]
-        header = "tp,tn,fp,fn,accuracy_pct,error_pct,recall_pct,precision_pct,f1_pct"
-    return header + "\n" + ",".join(str(v) for v in row) + "\n"
-
-
-def report_json(report: dict) -> str:
-    """The one JSON spelling of every report; NaN and infinity are refused."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        columns = {**report["confusion"], **report["metrics_display"]}
+    yield ",".join(columns) + "\n" + ",".join(str(v) for v in columns.values()) + "\n"
 
 
 def emit_report(report: dict, format: str = "json", path: str | Path = "report.json") -> Path:
-    """Write the report as full JSON or a one-row CSV of headline metrics."""
+    """Write :func:`render_report`'s text to ``path``; a refused report leaves no file."""
     path = Path(path)
-    if format == "json":
-        path.write_text(report_json(report))
-    elif format == "csv-summary":
-        path.write_text(summary_csv_text(report))
-    else:
-        raise ValueError(f"unknown report format {format!r}")
+    try:
+        with open(path, "w") as handle:
+            handle.writelines(render_report(report, format))
+    except ValueError:
+        path.unlink()
+        raise
     return path
 
 

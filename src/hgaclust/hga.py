@@ -14,7 +14,7 @@ run seed, so a run is a pure function of (points, config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -104,15 +104,20 @@ def init_population(
     return Population.from_chromosomes(chromosomes)
 
 
+def _distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """Two distinct indices below ``n``, uniform over ordered pairs."""
+    first = int(rng.integers(n))
+    second = int(rng.integers(n - 1))
+    if second >= first:
+        second += 1
+    return first, second
+
+
 def select_parents(pop: Population, rng: np.random.Generator) -> tuple[int, int]:
     """Two distinct indices, uniform over ordered pairs."""
     if pop.size < 2:
         raise ContractError("selection needs a population of at least 2")
-    first = int(rng.integers(pop.size))
-    second = int(rng.integers(pop.size - 1))
-    if second >= first:
-        second += 1
-    return first, second
+    return _distinct_pair(rng, pop.size)
 
 
 def one_point_crossover(
@@ -146,10 +151,7 @@ def two_point_mutation(
     if n < 2:
         raise ContractError("mutation needs chromosomes of length >= 2")
     if positions is None:
-        first = int(rng.integers(n))
-        second = int(rng.integers(n - 1))
-        if second >= first:
-            second += 1
+        first, second = _distinct_pair(rng, n)
     else:
         first, second = positions
         if first == second or not (0 <= first < n and 0 <= second < n):
@@ -234,4 +236,4 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
             break
 
     best = pop.chromosomes[pop.min_index]
-    return HgaResult(best.copy(), pop.min_fitness, generation, trace, terminated_by)
+    return HgaResult(best, pop.min_fitness, generation, trace, terminated_by)

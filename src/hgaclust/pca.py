@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import ContractError, DimensionError, InsufficientDataError
+from .errors import ContractError, DimensionError, InputError, InsufficientDataError
 
 SYMMETRY_TOL = 1e-9
 
@@ -30,14 +30,10 @@ class EigenPairs:
 
 @dataclass(frozen=True)
 class ProjectedDataset:
-    """Per-point coordinates in the top principal components.
-
-    ``explained_variance_ratio`` is None for hand-built point sets that
-    never went through :func:`project`.
-    """
+    """Per-point coordinates in the top principal components."""
 
     points: np.ndarray
-    explained_variance_ratio: tuple[float, ...] | None = None
+    explained_variance_ratio: tuple[float, ...]
 
     @property
     def n_points(self) -> int:
@@ -51,13 +47,19 @@ def _values(features: FeatureMatrix | np.ndarray) -> np.ndarray:
 
 
 def covariance_matrix(features: FeatureMatrix | np.ndarray) -> np.ndarray:
-    """Sample covariance (divisor n - 1), exactly symmetric."""
+    """Sample covariance (divisor n - 1), exactly symmetric.
+
+    Values whose covariance overflows float64 raise InputError.
+    """
     x = _values(features)
     n = x.shape[0]
     if n < 2:
         raise InsufficientDataError("covariance needs at least 2 rows")
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / (n - 1)
+    if not np.isfinite(cov).all():
+        raise InputError("feature values overflow float64: non-finite covariance")
     return (cov + cov.T) / 2.0
 
 
@@ -103,15 +105,12 @@ def project(
 
 
 def write_projection_csv(
-    path: str | Path, projected: ProjectedDataset, labels: np.ndarray | None = None
+    path: str | Path, projected: ProjectedDataset, labels: np.ndarray
 ) -> Path:
-    """Plot-ready CSV of (pc1, pc2[, target]) rows."""
+    """Plot-ready CSV of (pc1, pc2, target) rows."""
     path = Path(path)
-    lines = ["pc1,pc2,target" if labels is not None else "pc1,pc2"]
-    for i, (x, y) in enumerate(projected.points[:, :2].tolist()):
-        row = f"{x!r},{y!r}"
-        if labels is not None:
-            row += f",{int(labels[i])}"
-        lines.append(row)
+    lines = ["pc1,pc2,target"]
+    for (x, y), label in zip(projected.points[:, :2].tolist(), labels):
+        lines.append(f"{x!r},{y!r},{int(label)}")
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -23,6 +23,11 @@ ROW_B = "48,0,3,145,298,0,0,134,0,0.2,2,0,2,0"
 BAD_GA_KNOBS = [["--population-size", "1"], ["--max-generations", "0"], ["--doldrum-factor", "0"]]
 
 
+def _chol_rows(first, second):
+    """ROW_A and ROW_B with their cholesterol cells replaced, then ROW_A as is."""
+    return f"{ROW_A.replace('350', first)}\n{ROW_B.replace('298', second)}\n{ROW_A}\n".encode()
+
+
 @pytest.fixture(scope="module")
 def small_report(heart_csv):
     return run_experiment(ExperimentConfig(input=heart_csv, **SMALL))
@@ -129,14 +134,31 @@ class TestEmission:
     def test_csv_summary_row(self, small_report, tmp_path):
         path = emit_report(small_report, "csv-summary", tmp_path / "r.csv")
         header, row = path.read_text().splitlines()
-        assert header.startswith("seed,n_rows,")
+        assert header.split(",") == [
+            "seed", "n_rows", "standardize", "impute_strategy",
+            "kmeans_accuracy_pct", "kmeans_fitness", "hga_fitness",
+            "hga_accuracy_pct", "hga_error_pct", "hga_recall_pct",
+            "hga_precision_pct", "hga_f1_pct", "hga_generations",
+        ]
         cells = row.split(",")
-        assert cells[0] == "11"
-        assert cells[1] == "303"
+        assert cells[:4] == ["11", "303", "True", "median"]
+        display = small_report["hga"]["metrics_display"]
+        assert cells[7:12] == [
+            str(display[key])
+            for key in ("accuracy_pct", "error_pct", "recall_pct", "precision_pct", "f1_pct")
+        ]
+        assert cells[12] == str(small_report["hga"]["generations_run"])
 
     def test_unknown_format(self, small_report, tmp_path):
         with pytest.raises(ValueError):
             emit_report(small_report, "yaml", tmp_path / "r.yaml")
+        assert not (tmp_path / "r.yaml").exists()
+
+    def test_non_finite_report_leaves_no_file(self, small_report, tmp_path):
+        report = {**small_report, "timings_s": {"total": float("nan")}}
+        with pytest.raises(ValueError):
+            emit_report(report, "json", tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
 
     def test_scatter_export(self, small_report, tmp_path):
         path = write_scatter_csv(small_report, tmp_path / "scatter.csv")
@@ -270,15 +292,30 @@ class TestCli:
             (["experiment", "--input", "{bad}"], f"{ROW_A}\n{ROW_B}".encode() + b"\xff\n"),
             (["experiment", "--input", "{bad}"], ("1" * 131_073 + ROW_A[2:] + "\n").encode()),
             (["evaluate", "--input", "{heart_csv}", "--assignment", "{bad}"], b"01\xff"),
+            # values whose column mean, std or covariance overflows float64
+            (["experiment", "--input", "{bad}"], _chol_rows("1e308", "1e308")),
+            (["experiment", "--input", "{bad}", "--no-standardize"], _chol_rows("1e308", "1e308")),
+            (["experiment", "--input", "{bad}"], _chol_rows("1e200", "2e200")),
+            (["experiment", "--input", "{bad}", "--no-standardize"], _chol_rows("1e200", "2e200")),
+            (["pca", "--input", "{bad}"], _chol_rows("1e200", "2e200")),
         ],
-        ids=["non-utf8-csv", "oversized-cell", "non-utf8-assignment"],
+        ids=[
+            "non-utf8-csv", "oversized-cell", "non-utf8-assignment",
+            "overflow-mean", "overflow-mean-raw", "overflow-std", "overflow-cov-raw",
+            "overflow-std-pca",
+        ],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
     def test_malformed_file_exit_code(self, argv, content, heart_csv, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.write_bytes(content)
-        assert cli.main([arg.format(bad=bad, heart_csv=heart_csv) for arg in argv]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        out = tmp_path / "out"
+        argv = [arg.format(bad=bad, heart_csv=heart_csv) for arg in argv]
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_replicates_prepare_points_once(self, heart_csv, tmp_path, monkeypatch):
         calls = []
