@@ -22,9 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import IMPUTE_STRATEGIES
 from .errors import ContractError, InputError
 from .experiment import (
+    REPORT_FORMATS,
     ExperimentConfig,
+    csv_line,
     emit_report,
     evaluate_assignment,
     hga_block,
@@ -32,9 +35,8 @@ from .experiment import (
     prepare_points,
     render_report,
     run_experiment,
-    write_scatter_csv,
+    write_csv_table,
 )
-from .pca import write_projection_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,13 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument(
         "--impute",
         dest="impute_strategy",
-        choices=("median", "mode", "drop"),
+        choices=IMPUTE_STRATEGIES,
         help="missing-value strategy (default: median)",
     )
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--output", help="report path (default: stdout)")
-    out.add_argument("--format", choices=("json", "csv-summary"), default="json")
+    out.add_argument("--format", choices=REPORT_FORMATS, default="json")
 
     seeded = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     seeded.add_argument("--seed", type=int, help="run seed (default: 0)")
@@ -131,13 +133,14 @@ def _trace_sink(path: str | None):
         return
     with open(path, "w") as handle:
         handle.write("generation,min_fitness,max_fitness\n")
-        yield lambda generation, low, high: handle.write(f"{generation},{low!r},{high!r}\n")
+        yield lambda *row: handle.write(csv_line(row))
 
 
 def _cmd_pca(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, labels, projected, _ = prepare_points(config)
-    write_projection_csv(args.output, projected, labels)
+    pc1, pc2 = projected.points.T.tolist()
+    write_csv_table(args.output, {"pc1": pc1, "pc2": pc2, "target": labels.tolist()})
     summary = {
         "explained_variance_ratio": list(projected.explained_variance_ratio),
         "standardized": config.standardize,
@@ -187,7 +190,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     with _trace_sink(args.trace_file) as sink:
         report = run_experiment(config, trace_sink=sink)
     if args.scatter:
-        write_scatter_csv(report, args.scatter)
+        write_csv_table(args.scatter, report["scatter"])
     _emit(args, report)
     return 0
 
@@ -205,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractError as exc:

@@ -53,10 +53,8 @@ class Chromosome:
 
 @dataclass(frozen=True)
 class FitnessBreakdown:
-    """Per-cluster fitness terms; a None centroid marks an empty cluster."""
+    """Total fitness and both centroids; a None centroid marks an empty cluster."""
 
-    low_fitness: float
-    high_fitness: float
     total: float
     low_centroid: tuple[float, float] | None
     high_centroid: tuple[float, float] | None
@@ -109,7 +107,7 @@ def chromosome_fitness(
     else:
         total = low_fit + high_fit
     chrom.cached_fitness = total
-    return FitnessBreakdown(low_fit, high_fit, total, low_centroid, high_centroid)
+    return FitnessBreakdown(total, low_centroid, high_centroid)
 
 
 def reassign_nearest(

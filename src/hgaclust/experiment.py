@@ -30,6 +30,7 @@ from .hga import HgaConfig, run_hga
 from .pca import covariance_matrix, project, symmetric_eigendecomposition
 
 SCHEMA_VERSION = 1
+REPORT_FORMATS = ("json", "csv-summary")
 
 
 @dataclass(kw_only=True)
@@ -95,7 +96,8 @@ def evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
 def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
     """The report's ``kmeans`` block: the seeded two-cluster baseline."""
     baseline = kmeans(projected, seed)
-    fitness = chromosome_fitness(projected, Chromosome(baseline.genes)).total
+    chrom = Chromosome(baseline.genes)
+    fitness = chromosome_fitness(projected, chrom).total
     if not math.isfinite(fitness):
         raise InsufficientDataError(
             "the projected points cannot be split into two non-empty clusters"
@@ -105,7 +107,7 @@ def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
         "iterations": baseline.iterations,
         "objective_trace": baseline.objective_trace,
         "distance_trace": baseline.distance_trace,
-        "assignment": "".join(str(int(g)) for g in baseline.genes),
+        "assignment": chrom.genes_string(),
         **evaluate_assignment(baseline.genes, labels),
     }
 
@@ -228,12 +230,12 @@ def render_report(report: dict, format: str = "json") -> Iterator[str]:
     JSON refuses NaN and infinity. The CSV columns follow the report's
     insertion order, so the metric columns come in :class:`Metrics` order.
     """
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}")
     if format == "json":
         yield from json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(report)
         yield "\n"
         return
-    if format != "csv-summary":
-        raise ValueError(f"unknown report format {format!r}")
     if "hga" in report:
         config, hga = report["config"], report["hga"]
         columns = {
@@ -264,14 +266,13 @@ def emit_report(report: dict, format: str = "json", path: str | Path = "report.j
     return path
 
 
-def write_scatter_csv(report: dict, path: str | Path) -> Path:
-    """(pc1, pc2, predicted, actual) rows for scatter plotting."""
-    scatter = report["scatter"]
-    path = Path(path)
-    lines = ["pc1,pc2,predicted,actual"]
-    for x, y, pred, actual in zip(
-        scatter["pc1"], scatter["pc2"], scatter["predicted"], scatter["actual"]
-    ):
-        lines.append(f"{x!r},{y!r},{pred},{actual}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def csv_line(values) -> str:
+    """One CSV row of each value's repr, so floats read back bit for bit."""
+    return ",".join(map(repr, values)) + "\n"
+
+
+def write_csv_table(path: str | Path, columns: dict[str, list]) -> None:
+    """A header of the column names, then one :func:`csv_line` per row of the columns."""
+    with open(path, "w") as handle:
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(map(csv_line, zip(*columns.values())))

@@ -10,7 +10,6 @@ toward the lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -102,15 +101,3 @@ def project(
     else:
         ratios = tuple(0.0 for _ in range(k))
     return ProjectedDataset(points, ratios)
-
-
-def write_projection_csv(
-    path: str | Path, projected: ProjectedDataset, labels: np.ndarray
-) -> Path:
-    """Plot-ready CSV of (pc1, pc2, target) rows."""
-    path = Path(path)
-    lines = ["pc1,pc2,target"]
-    for (x, y), label in zip(projected.points[:, :2].tolist(), labels):
-        lines.append(f"{x!r},{y!r},{int(label)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path

@@ -42,24 +42,29 @@ class TestCentroid:
             chromosome_fitness(np.zeros((3, 2)), chrom([0, 1]))
 
 
+# A singleton cluster contributes exactly 0.0, so a far singleton in the
+# other cluster makes the total equal, bit for bit, to one cluster's term.
+FAR = [1000.0, -1000.0]
+
+
 class TestClusterFitness:
     def test_symmetric_pair(self):
-        pts = np.array([[0.0, 0.0], [0.0, 2.0]])
-        assert chromosome_fitness(pts, chrom([0, 0])).low_fitness == 2.0
+        pts = np.array([[0.0, 0.0], [0.0, 2.0], FAR])
+        assert chromosome_fitness(pts, chrom([0, 0, 1])).total == 2.0
 
     def test_singleton_is_zero(self):
         pts = np.array([[5.0, 5.0], [0.0, 0.0]])
-        assert chromosome_fitness(pts, chrom([0, 1])).low_fitness == 0.0
+        assert chromosome_fitness(pts, chrom([0, 1])).total == 0.0
 
     def test_three_point_hand_computation(self):
         # centroid (2, 1); distances sqrt(5), sqrt(5), 2
-        pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
+        pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0], FAR])
         expected = 2 * math.sqrt(5.0) + 2.0
-        value = chromosome_fitness(pts, chrom([0, 0, 0])).low_fitness
+        value = chromosome_fitness(pts, chrom([0, 0, 0, 1])).total
         assert value == pytest.approx(expected, abs=1e-12)
         # independent brute-force cross-check
         brute = math.fsum(
-            math.sqrt((x - 2.0) ** 2 + (y - 1.0) ** 2) for x, y in pts.tolist()
+            math.sqrt((x - 2.0) ** 2 + (y - 1.0) ** 2) for x, y in pts[:3].tolist()
         )
         assert value == brute
 
@@ -72,9 +77,10 @@ class TestChromosomeFitness:
     def test_symmetric_pairs(self):
         pts = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
         breakdown = chromosome_fitness(pts, chrom([0, 0, 1, 1]))
-        assert breakdown.low_fitness == 2.0
-        assert breakdown.high_fitness == 2.0
         assert breakdown.total == 4.0
+        # each cluster's term on its own: the pair plus a far singleton
+        for pair, genes in ((pts[:2], [0, 0, 1]), (pts[2:], [1, 1, 0])):
+            assert chromosome_fitness(np.vstack([pair, FAR]), chrom(genes)).total == 2.0
         assert breakdown.low_centroid == (0.0, 1.0)
         assert breakdown.high_centroid == (10.0, 1.0)
 
@@ -82,7 +88,6 @@ class TestChromosomeFitness:
         pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
         breakdown = chromosome_fitness(pts, chrom([0, 0, 0]))
         assert breakdown.total == math.inf
-        assert breakdown.low_fitness == pytest.approx(2 * math.sqrt(5) + 2, abs=1e-12)
         assert breakdown.high_centroid is None
 
     def test_cache_set_and_exactly_reproducible(self):

@@ -14,7 +14,7 @@ from hgaclust.experiment import (
     load_report_schema,
     normalize_report_timings,
     run_experiment,
-    write_scatter_csv,
+    write_csv_table,
 )
 
 SMALL = dict(population_size=25, seed=11)
@@ -161,10 +161,16 @@ class TestEmission:
         assert not (tmp_path / "r.json").exists()
 
     def test_scatter_export(self, small_report, tmp_path):
-        path = write_scatter_csv(small_report, tmp_path / "scatter.csv")
-        lines = path.read_text().splitlines()
+        scatter = small_report["scatter"]
+        write_csv_table(tmp_path / "scatter.csv", scatter)
+        lines = (tmp_path / "scatter.csv").read_text().splitlines()
         assert lines[0] == "pc1,pc2,predicted,actual"
         assert len(lines) == 304  # header + one row per point
+        for i, line in enumerate(lines[1:]):
+            pc1, pc2, predicted, actual = line.split(",")
+            assert float(pc1).hex() == scatter["pc1"][i].hex()
+            assert float(pc2).hex() == scatter["pc2"][i].hex()
+            assert (int(predicted), int(actual)) == (scatter["predicted"][i], scatter["actual"][i])
 
     def test_normalize_timings_zeroes_block(self, small_report):
         report = normalize_report_timings(json.loads(json.dumps(small_report)))

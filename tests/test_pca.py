@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
+from hgaclust import cli
 from hgaclust.dataset import FeatureMatrix
 from hgaclust.errors import ContractError, DimensionError, InsufficientDataError
-from hgaclust.pca import (
-    covariance_matrix,
-    project,
-    symmetric_eigendecomposition,
-    write_projection_csv,
-)
+from hgaclust.pca import covariance_matrix, project, symmetric_eigendecomposition
 
 
 class TestCovariance:
@@ -143,12 +139,14 @@ class TestProject:
         assert r1 >= r2 >= 0
         assert r1 + r2 <= 1 + 1e-9
 
-    def test_projection_csv_export(self, prepared, tmp_path):
+    def test_projection_csv_export(self, prepared, heart_csv, tmp_path):
         _, _, labels, projected = prepared
-        out = write_projection_csv(tmp_path / "proj.csv", projected, labels)
+        out = tmp_path / "proj.csv"
+        assert cli.main(["pca", "--input", heart_csv, "--output", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "pc1,pc2,target"
         assert len(lines) == 304
-        first = lines[1].split(",")
-        assert float(first[0]) == projected.points[0, 0]
-        assert first[2] in ("0", "1")
+        for line, (x, y), label in zip(lines[1:], projected.points.tolist(), labels.tolist()):
+            pc1, pc2, target = line.split(",")
+            assert (float(pc1).hex(), float(pc2).hex()) == (x.hex(), y.hex())
+            assert int(target) == label
