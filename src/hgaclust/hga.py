@@ -14,6 +14,7 @@ run seed, so a run is a pure function of (points, config).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,12 @@ from .clustering import Chromosome, as_points, chromosome_fitness, reassign_near
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
+
+# A run's improvement memo stops taking entries once they would pass this
+# many bytes, counting each packed key plus MEMO_ENTRY_OVERHEAD for the
+# dict slot and the bytes and float objects. The cap changes speed only.
+MEMO_BUDGET_BYTES = 16 * 2**20
+MEMO_ENTRY_OVERHEAD = 100
 
 
 @dataclass
@@ -86,9 +93,18 @@ class HgaResult:
 
 
 def init_population(
-    points, config: HgaConfig, rng: np.random.Generator
+    points,
+    config: HgaConfig,
+    rng: np.random.Generator,
+    memo: dict[bytes, float] | None = None,
 ) -> Population:
-    """Fair-coin chromosomes, all evaluated (and optionally improved)."""
+    """Fair-coin chromosomes, all evaluated (and optionally improved with ``memo``).
+
+    If every chromosome leaves a cluster empty, no child could ever
+    replace one (``inf < inf`` is false), so gene 0 of chromosome 0 is
+    flipped: a one-versus-rest split, which has two non-empty clusters.
+    This draws nothing from ``rng``.
+    """
     xy = as_points(points)
     n = xy.shape[0]
     if n < 2:
@@ -97,10 +113,15 @@ def init_population(
     for _ in range(config.population_size):
         chrom = Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8))
         if config.improve_initial_population:
-            chrom = deterministic_improvement(xy, chrom)  # evaluates as a side effect
+            chrom = deterministic_improvement(xy, chrom, memo)  # evaluates as a side effect
         else:
             chromosome_fitness(xy, chrom)
         chromosomes.append(chrom)
+    if all(c.cached_fitness == math.inf for c in chromosomes):
+        genes = chromosomes[0].genes.copy()
+        genes[0] ^= 1
+        chromosomes[0] = Chromosome(genes)
+        chromosome_fitness(xy, chromosomes[0])
     return Population.from_chromosomes(chromosomes)
 
 
@@ -162,7 +183,9 @@ def two_point_mutation(
     return Chromosome(genes)
 
 
-def deterministic_improvement(points, chrom: Chromosome) -> Chromosome:
+def deterministic_improvement(
+    points, chrom: Chromosome, memo: dict[bytes, float] | None = None
+) -> Chromosome:
     """One nearest-centroid reassignment pass with guarded acceptance.
 
     Both centroids are computed from the input chromosome and held fixed
@@ -170,7 +193,16 @@ def deterministic_improvement(points, chrom: Chromosome) -> Chromosome:
     its recomputed fitness does not exceed the input's, so this step can
     never make a chromosome worse. A chromosome with an empty cluster is
     returned unchanged.
+
+    ``memo`` maps a candidate's packed genes to its fitness total. The
+    pass pulls most children of a run onto a few local optima, so the GA
+    passes one memo per run and a repeated candidate is looked up instead
+    of evaluated again. Fitness is a pure function of (points, genes), so
+    a hit gives the same bits as an evaluation. Only candidates are
+    stored, up to :data:`MEMO_BUDGET_BYTES`.
     """
+    if memo is None:
+        memo = {}
     xy = as_points(points)
     base = chromosome_fitness(xy, chrom)
     if base.low_centroid is None or base.high_centroid is None:
@@ -179,7 +211,15 @@ def deterministic_improvement(points, chrom: Chromosome) -> Chromosome:
     if np.array_equal(new_genes, chrom.genes):
         return chrom
     candidate = Chromosome(new_genes)
-    if chromosome_fitness(xy, candidate).total <= base.total:
+    key = np.packbits(new_genes).tobytes()
+    total = memo.get(key)
+    if total is None:
+        total = chromosome_fitness(xy, candidate).total
+        if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) <= MEMO_BUDGET_BYTES:
+            memo[key] = total
+    else:
+        candidate.cached_fitness = total
+    if total <= base.total:
         return candidate
     return chrom
 
@@ -200,7 +240,8 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
     """Run the full loop; deterministic given (points, config)."""
     xy = as_points(points)
     rng = np.random.default_rng(config.seed)
-    pop = init_population(xy, config, rng)
+    memo: dict[bytes, float] = {}
+    pop = init_population(xy, config, rng, memo)
 
     window = config.doldrum_factor * config.population_size
     doldrum = 0
@@ -217,7 +258,7 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
             if config.mutation_enabled:
                 child = two_point_mutation(child, rng)
             if config.improvement_enabled:
-                child = deterministic_improvement(xy, child)
+                child = deterministic_improvement(xy, child, memo)
             else:
                 chromosome_fitness(xy, child)
             steady_state_replace(pop, child)

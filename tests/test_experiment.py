@@ -351,27 +351,37 @@ class TestCli:
         assert sum(int(v) for v in row.split(",")[:4]) == 303
 
     @pytest.mark.parametrize(
-        "argv, rows",
+        "argv, rows, expected",
         [
             # identical rows project onto one point, so k-means leaves a cluster empty
-            (["experiment"], [ROW_A] * 20),
-            (["kmeans"], [ROW_A] * 20),
-            # two points, two chromosomes: seed 1 draws [1, 1] twice, and neither
-            # crossover nor the two-gene mutation can split the points from there
-            (["experiment", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B]),
-            (["hga", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B]),
+            (["experiment"], [ROW_A] * 20, 2),
+            (["kmeans"], [ROW_A] * 20, 2),
+            # two points, two chromosomes: seed 1 draws [1, 1] twice, which the
+            # initial population repairs into the split [0, 1] of fitness 0
+            (["experiment", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0),
+            (["hga", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0),
         ],
         ids=["experiment-kmeans", "kmeans", "experiment-hga", "hga"],
     )
-    def test_unsplit_points_exit_code(self, argv, rows, tmp_path, capsys):
+    def test_unsplit_points_exit_code(self, argv, rows, expected, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         out = tmp_path / "report.json"
         code = cli.main([*argv, "--input", str(csv_path), "--output", str(out)])
-        assert code == 2
-        assert not out.exists()
+        assert code == expected
         captured = capsys.readouterr()
         assert "Infinity" not in captured.out + captured.err
+        if expected == 2:
+            assert not out.exists()
+            return
+        report = json.loads(out.read_text())
+        schema = load_report_schema()
+        if argv[0] == "hga":
+            schema = {"$defs": schema["$defs"], **schema["properties"]["hga"]}
+            report.pop("seed")
+        jsonschema.validate(report, schema)
+        hga = report["hga"] if argv[0] == "experiment" else report
+        assert hga["best_fitness"] == 0.0
 
 
 class TestConfigSingleSourced:

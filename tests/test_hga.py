@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgaclust import hga
 from hgaclust.clustering import Chromosome, chromosome_fitness
 from hgaclust.errors import ContractError
 from hgaclust.hga import (
@@ -50,6 +53,19 @@ class TestInitPopulation:
         pop = init_population(projected, HgaConfig(population_size=2500), rng)
         assert pop.size == 2500
         assert all(c.cached_fitness is not None for c in pop.chromosomes)
+
+    def test_all_one_sided_population_is_repaired(self):
+        # seed 1 draws [1, 1] for both chromosomes: flipping gene 0 of the
+        # first gives the only split, without another draw from the rng
+        rng = np.random.default_rng(1)
+        pop = init_population(TWO_PAIRS[:2], HgaConfig(population_size=2), rng)
+        assert [c.genes_string() for c in pop.chromosomes] == ["01", "11"]
+        assert pop.fitness.tolist() == [0.0, math.inf]
+        assert (pop.min_index, pop.max_index) == (0, 1)
+        after = np.random.default_rng(1)
+        after.integers(0, 2, size=2, dtype=np.uint8)
+        after.integers(0, 2, size=2, dtype=np.uint8)
+        assert rng.integers(1 << 30) == after.integers(1 << 30)
 
     def test_extreme_indices_consistent(self):
         pts = np.random.default_rng(2).normal(size=(10, 2))
@@ -305,3 +321,104 @@ class TestRunHga:
             pts, HgaConfig(population_size=30, improvement_enabled=False, seed=4)
         )
         assert on.best_fitness <= off.best_fitness
+
+
+@st.composite
+def points_and_chromosomes(draw):
+    """A few points on a coarse grid (ties included) and a stream of chromosomes."""
+    n = draw(st.integers(2, 9))
+    coords = st.integers(-3, 3).map(lambda v: v / 2)
+    points = np.array(draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+    genes = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return points, draw(st.lists(genes, min_size=1, max_size=25))
+
+
+class TestImprovementMemo:
+    @settings(max_examples=200)
+    @given(points_and_chromosomes())
+    def test_memo_gives_the_same_genes_bits_and_identity(self, case):
+        points, stream = case
+        memo = {}
+        for genes in stream:
+            plain_in = Chromosome(np.array(genes, dtype=np.uint8))
+            memo_in = Chromosome(np.array(genes, dtype=np.uint8))
+            plain = deterministic_improvement(points, plain_in)
+            memoized = deterministic_improvement(points, memo_in, memo)
+            assert np.array_equal(memoized.genes, plain.genes)
+            assert memoized.cached_fitness.hex() == plain.cached_fitness.hex()
+            # the input itself comes back on a no-op or a rejection
+            assert (memoized is memo_in) == (plain is plain_in)
+
+    def test_repeated_candidate_is_looked_up(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            hga, "chromosome_fitness", lambda *a: calls.append(1) or chromosome_fitness(*a)
+        )
+        memo = {}
+        first = deterministic_improvement(TWO_PAIRS, bits("0111"), memo)
+        again = deterministic_improvement(TWO_PAIRS, bits("0111"), memo)
+        assert first.genes_string() == again.genes_string() == "0011"
+        assert again.cached_fitness.hex() == first.cached_fitness.hex()
+        assert len(calls) == 3  # two bases, one candidate
+        assert memo == {np.packbits(first.genes).tobytes(): 4.0}
+
+
+def _run_signature(result):
+    return (
+        result.best_fitness.hex(),
+        result.best_chromosome.genes_string(),
+        [value.hex() for value in result.min_fitness_trace],
+        result.generations_run,
+    )
+
+
+class TestRunHgaMemo:
+    SEEDS = (0, 1, 2)
+
+    def _runs(self, projected):
+        return [
+            _run_signature(run_hga(projected, HgaConfig(population_size=20, seed=seed)))
+            for seed in self.SEEDS
+        ]
+
+    def test_disabled_memo_gives_the_same_runs(self, prepared, monkeypatch):
+        *_, projected = prepared
+        with_memo = self._runs(projected)
+        monkeypatch.setattr(hga, "MEMO_BUDGET_BYTES", 0)
+        assert self._runs(projected) == with_memo
+
+    def test_tiny_budget_caps_the_memo(self, prepared, monkeypatch):
+        *_, projected = prepared
+        with_memo = self._runs(projected)
+        entry = (len(projected.points) + 7) // 8 + hga.MEMO_ENTRY_OVERHEAD
+        monkeypatch.setattr(hga, "MEMO_BUDGET_BYTES", 5 * entry)
+        sizes = []
+
+        def spy(points, chrom, memo=None):
+            result = deterministic_improvement(points, chrom, memo)
+            sizes.append(len(memo))
+            return result
+
+        monkeypatch.setattr(hga, "deterministic_improvement", spy)
+        assert self._runs(projected) == with_memo
+        assert max(sizes) == 5
+
+    def test_memo_saves_fitness_calls(self, prepared, monkeypatch):
+        *_, projected = prepared
+        calls = {"fitness": 0, "improve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(hga, "chromosome_fitness", counted("fitness", chromosome_fitness))
+        monkeypatch.setattr(
+            hga, "deterministic_improvement", counted("improve", deterministic_improvement)
+        )
+        config = HgaConfig(population_size=20, seed=0)
+        run_hga(projected, config)
+        assert calls["improve"] > 0
+        assert calls["fitness"] < config.population_size + 2 * calls["improve"]
