@@ -127,13 +127,18 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
 
 @contextmanager
 def _trace_sink(path: str | None):
-    """Line-delimited generation,min_fitness,max_fitness stream, or None."""
+    """generation,min_fitness,max_fitness lines, or None; a body that raises leaves no file."""
     if not path:
         yield None
         return
     with open(path, "w") as handle:
         handle.write("generation,min_fitness,max_fitness\n")
-        yield lambda *row: handle.write(csv_line(row))
+        try:
+            yield lambda *row: handle.write(csv_line(row))
+        except BaseException:
+            handle.close()
+            Path(path).unlink()
+            raise
 
 
 def _cmd_pca(args: argparse.Namespace) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InfeasibleError
+from .errors import ContractError
 from .pca import ProjectedDataset
 
 KMEANS_MAX_ITER = 100
@@ -154,7 +154,7 @@ def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
     xy = as_points(points)
     n = xy.shape[0]
     if n < 2:
-        raise InfeasibleError(f"2 clusters infeasible for {n} points")
+        raise ContractError(f"2 clusters infeasible for {n} points")
     centroids = xy[np.random.default_rng(seed).choice(n, size=2, replace=False)].tolist()
     genes = np.zeros(n, dtype=np.uint8)
     objective_trace: list[float] = []

@@ -16,14 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    InputError,
-    InsufficientDataError,
-    MalformedInputError,
-    SchemaError,
-    UnimputableError,
-)
+from .errors import ContractError, InputError
 
 HEART_COLUMNS: tuple[str, ...] = (
     "age", "sex", "cp", "trestbps", "chol", "fbs", "restecg",
@@ -77,42 +70,40 @@ def load_heart_csv(path: str | Path) -> RawDataset:
 
     Missing cells (``?``) are flagged in ``imputed_cells`` but not filled;
     call :func:`impute_missing` before feature extraction. Raises
-    FileNotFoundError, MalformedInputError (naming row and column, or
-    the undecodable byte or oversized field) or SchemaError (a header
-    other than :data:`HEART_COLUMNS`).
+    FileNotFoundError, or InputError naming the row and column, the
+    undecodable byte or oversized field, or a header other than
+    :data:`HEART_COLUMNS`.
     """
     try:
         with open(path, newline="") as handle:
             raw_rows = list(csv.reader(handle))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise MalformedInputError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if not raw_rows:
-        raise MalformedInputError(f"{path}: file is empty")
+        raise InputError(f"{path}: file is empty")
 
     if _looks_like_header(raw_rows[0]):
         header = tuple(cell.strip() for cell in raw_rows[0])
         if header != HEART_COLUMNS:
-            raise SchemaError(
+            raise InputError(
                 f"{path}: header {list(header)} does not match expected columns "
                 f"{list(HEART_COLUMNS)}"
             )
         raw_rows = raw_rows[1:]
         if not raw_rows:
-            raise MalformedInputError(f"{path}: no data rows after header")
+            raise InputError(f"{path}: no data rows after header")
 
     n_cols = len(HEART_COLUMNS)
     values = np.empty((len(raw_rows), n_cols), dtype=np.float64)
     missing: list[tuple[int, str]] = []
     for i, row in enumerate(raw_rows):
         if len(row) != n_cols:
-            raise MalformedInputError(
-                f"{path}: row {i + 1} has {len(row)} columns, expected {n_cols}"
-            )
+            raise InputError(f"{path}: row {i + 1} has {len(row)} columns, expected {n_cols}")
         for j, cell in enumerate(row):
             text = cell.strip()
             if text == MISSING_SENTINEL:
                 if j == TARGET:
-                    raise MalformedInputError(
+                    raise InputError(
                         f"{path}: row {i + 1}, column 'target': missing target is not supported"
                     )
                 values[i, j] = np.nan
@@ -121,7 +112,7 @@ def load_heart_csv(path: str | Path) -> RawDataset:
             try:
                 values[i, j] = _parse_cell(text)
             except ValueError:
-                raise MalformedInputError(
+                raise InputError(
                     f"{path}: row {i + 1}, column {HEART_COLUMNS[j]!r}: "
                     f"cell {cell!r} is not numeric and not {MISSING_SENTINEL!r}"
                 ) from None
@@ -129,9 +120,7 @@ def load_heart_csv(path: str | Path) -> RawDataset:
     targets = values[:, TARGET]
     if (targets < 0).any():
         bad = int(np.argmax(targets < 0))
-        raise MalformedInputError(
-            f"{path}: row {bad + 1}, column 'target': negative target value"
-        )
+        raise InputError(f"{path}: row {bad + 1}, column 'target': negative target value")
     # Collapse the 0..4 diagnosis coding to the low/high dichotomy.
     values[:, TARGET] = (targets > 0).astype(np.float64)
 
@@ -160,7 +149,7 @@ def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:
     ``median``/``mode`` fill per column from the observed values, ``drop``
     removes every row containing a missing cell. Non-missing cells are
     never changed. A column with no observed values raises
-    UnimputableError for the filling strategies.
+    InputError for the filling strategies.
     """
     if strategy not in IMPUTE_STRATEGIES:
         raise ValueError(f"unknown imputation strategy {strategy!r}")
@@ -176,7 +165,7 @@ def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:
     for j in np.flatnonzero(nan_mask.any(axis=0)):
         observed = values[~nan_mask[:, j], j]
         if observed.size == 0:
-            raise UnimputableError(f"column {HEART_COLUMNS[j]!r} has no observed values")
+            raise InputError(f"column {HEART_COLUMNS[j]!r} has no observed values")
         if strategy == "median":
             fill = float(np.median(observed))
         else:
@@ -197,7 +186,7 @@ def split_features_target(data: RawDataset) -> tuple[FeatureMatrix, np.ndarray]:
         raise ContractError("dataset still has missing cells; impute first")
     labels = data.values[:, TARGET].astype(np.int64)
     if not np.isin(labels, (0, 1)).all():
-        raise SchemaError("target labels must be 0 or 1")
+        raise InputError("target labels must be 0 or 1")
     return FeatureMatrix(np.delete(data.values, TARGET, axis=1)), labels
 
 
@@ -209,7 +198,7 @@ def standardize(features: FeatureMatrix) -> FeatureMatrix:
     """
     x = features.values
     if x.shape[0] < 2:
-        raise InsufficientDataError("standardization needs at least 2 rows")
+        raise InputError("standardization needs at least 2 rows")
     with np.errstate(over="ignore", invalid="ignore"):
         means = x.mean(axis=0)
         stds = x.std(axis=0, ddof=1)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .clustering import Chromosome, chromosome_fitness, kmeans
 from .dataset import impute_missing, load_heart_csv, split_features_target, standardize
-from .errors import HgaClustError, InputError, InsufficientDataError
+from .errors import HgaClustError, InputError
 from .evaluation import align_clusters_to_labels, confusion_matrix, metrics
 from .hga import HgaConfig, run_hga
 from .pca import covariance_matrix, project, symmetric_eigendecomposition
@@ -99,9 +99,7 @@ def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
     chrom = Chromosome(baseline.genes)
     fitness = chromosome_fitness(projected, chrom).total
     if not math.isfinite(fitness):
-        raise InsufficientDataError(
-            "the projected points cannot be split into two non-empty clusters"
-        )
+        raise InputError("the projected points cannot be split into two non-empty clusters")
     return {
         "fitness": fitness,
         "iterations": baseline.iterations,

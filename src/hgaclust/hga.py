@@ -47,6 +47,8 @@ class HgaConfig:
             raise InputError("population_size must be at least 2")
         if self.doldrum_factor < 1 or self.max_generations < 1:
             raise InputError("doldrum_factor and max_generations must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

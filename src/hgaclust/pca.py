@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FeatureMatrix
-from .errors import ContractError, DimensionError, InputError, InsufficientDataError
+from .errors import ContractError, InputError
 
 SYMMETRY_TOL = 1e-9
 
@@ -53,7 +53,7 @@ def covariance_matrix(features: FeatureMatrix | np.ndarray) -> np.ndarray:
     x = _values(features)
     n = x.shape[0]
     if n < 2:
-        raise InsufficientDataError("covariance needs at least 2 rows")
+        raise InputError("covariance needs at least 2 rows")
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=0)
         cov = centered.T @ centered / (n - 1)
@@ -87,17 +87,19 @@ def project(
     """Project centered rows onto the top-k eigenvectors.
 
     The explained-variance ratio of each kept component is its eigenvalue
-    over the covariance trace (negative round-off eigenvalues count as 0).
+    over the sum of all eigenvalues, where negative round-off eigenvalues
+    count as 0 in both, so no ratio passes 1.
     """
     x = _values(features)
     d = eig.eigenvectors.shape[1]
     if k > d:
-        raise DimensionError(f"k={k} exceeds the {d} available components")
+        raise ContractError(f"k={k} exceeds the {d} available components")
     centered = x - x.mean(axis=0)
     points = centered @ eig.eigenvectors[:, :k]
-    trace = float(eig.eigenvalues.sum())
+    variances = [max(float(v), 0.0) for v in eig.eigenvalues]
+    trace = float(np.sum(variances))
     if trace > 0:
-        ratios = tuple(max(float(v), 0.0) / trace for v in eig.eigenvalues[:k])
+        ratios = tuple(v / trace for v in variances[:k])
     else:
         ratios = tuple(0.0 for _ in range(k))
     return ProjectedDataset(points, ratios)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgaclust.clustering import Chromosome, chromosome_fitness, kmeans
-from hgaclust.errors import ContractError, InfeasibleError
+from hgaclust.errors import ContractError
 
 from oracles import brute_force_min_fitness, python_fitness, python_two_means
 
@@ -183,7 +183,7 @@ class TestKmeans:
             )
 
     def test_more_clusters_than_points_rejected(self):
-        with pytest.raises(InfeasibleError):
+        with pytest.raises(ContractError, match="2 clusters infeasible for 1 points"):
             kmeans(np.zeros((1, 2)), 0)
 
     @pytest.mark.parametrize("kind", ["random", "tied", "identical"])

@@ -1,14 +1,27 @@
 import json
+import tempfile
+import warnings
+from contextlib import redirect_stderr
 from dataclasses import fields
+from io import StringIO
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgaclust import cli, experiment
-from hgaclust.dataset import impute_missing, load_heart_csv, split_features_target
+from hgaclust.dataset import (
+    IMPUTE_STRATEGIES,
+    impute_missing,
+    load_heart_csv,
+    split_features_target,
+)
 from oracles import brute_force_min_fitness
 from hgaclust.experiment import (
+    REPORT_FORMATS,
     ExperimentConfig,
     emit_report,
     load_report_schema,
@@ -21,11 +34,60 @@ SMALL = dict(population_size=25, seed=11)
 ROW_A = "52,1,0,166,350,0,1,133,1,2.3,1,2,2,1"
 ROW_B = "48,0,3,145,298,0,0,134,0,0.2,2,0,2,0"
 BAD_GA_KNOBS = [["--population-size", "1"], ["--max-generations", "0"], ["--doldrum-factor", "0"]]
+FIXTURE_TEXT = (Path(__file__).parent / "data" / "synthetic_heart.csv").read_text()
+FUZZ_CELLS = ["?", "0", "-3", "1e150", "1e308", "x"]
 
 
 def _chol_rows(first, second):
     """ROW_A and ROW_B with their cholesterol cells replaced, then ROW_A as is."""
     return f"{ROW_A.replace('350', first)}\n{ROW_B.replace('298', second)}\n{ROW_A}\n".encode()
+
+
+def _validate_report(report: dict, command: str) -> None:
+    """Check a subcommand's JSON report against its part of ``report_schema.json``."""
+    schema = load_report_schema()
+    if command != "experiment":
+        schema = {"$defs": schema["$defs"], **schema["properties"][command]}
+        report = {key: value for key, value in report.items() if key != "seed"}
+    jsonschema.validate(report, schema)
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, CSV text, traced): 2-15 fixture rows with a few cells replaced, small knobs."""
+    header, *rows = FIXTURE_TEXT.splitlines()
+    picked = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=15))
+    cells = [row.split(",") for row in picked]
+    for _ in range(draw(st.integers(0, 3))):
+        row = cells[draw(st.integers(0, len(cells) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FUZZ_CELLS))
+    lines = [header] * draw(st.booleans()) + [",".join(row) for row in cells]
+
+    command = draw(st.sampled_from(["experiment", "hga", "kmeans"]))
+    # flag -> (valid values, bad values); at most one knob per example takes a bad value,
+    # so each bad value is reached on its own, and about half the examples have none
+    knobs = {"--seed": (range(51), range(-2, 0))}
+    switches = ["--standardize", "--no-standardize"]
+    if command != "kmeans":
+        knobs["--population-size"] = (range(2, 7), range(2))
+        knobs["--max-generations"] = (range(1, 9), range(1))
+        knobs["--doldrum-factor"] = (range(1, 4), range(1))
+        switches += ["--no-improvement", "--no-mutation", "--improve-initial"]
+    if command == "experiment":
+        knobs["--replicates"] = (range(1, 4), range(1))
+        switches.append("--normalize-timings")
+    broken = draw(st.none() | st.sampled_from(list(knobs)))
+    argv = [command]
+    for flag, (good, bad) in knobs.items():
+        # always bound the GA: the defaults (2500 chromosomes, 10^6 generations) take seconds
+        if flag in ("--population-size", "--max-generations", broken) or draw(st.booleans()):
+            argv += [flag, str(draw(st.sampled_from(bad if flag == broken else good)))]
+    for flag, choices in (("--impute", IMPUTE_STRATEGIES), ("--format", REPORT_FORMATS)):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(choices))]
+    argv += draw(st.lists(st.sampled_from(switches), unique=True))
+    traced = command != "kmeans" and draw(st.booleans())
+    return argv, "\n".join(lines) + "\n", traced
 
 
 @pytest.fixture(scope="module")
@@ -285,12 +347,34 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [[command, *knob] for command in ("experiment", "hga") for knob in BAD_GA_KNOBS]
-        + [["experiment", "--replicates", "0"]],
+        + [["experiment", "--replicates", "0"]]
+        + [[command, "--seed", "-1"] for command in ("experiment", "kmeans", "hga")],
         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:2]),
     )
     def test_bad_knob_exit_code(self, argv, heart_csv, capsys):
         assert cli.main([*argv, "--input", heart_csv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, rows, expected",
+        [
+            # identical rows project onto one point, so k-means leaves a cluster empty
+            (["experiment"], [ROW_A] * 20, 2),
+            (["hga", "--seed", "-1"], [ROW_A, ROW_B], 2),
+            (["experiment", "--population-size", "4"], [ROW_A, ROW_B, ROW_A], 0),
+        ],
+        ids=["experiment-fails", "hga-fails", "experiment"],
+    )
+    def test_trace_file_kept_only_on_success(self, argv, rows, expected, tmp_path):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        trace, out = tmp_path / "t.csv", tmp_path / "out.json"
+        argv = [*argv, "--input", str(csv_path), "--trace-file", str(trace), "--output", str(out)]
+        assert cli.main(argv) == expected
+        assert trace.exists() == out.exists() == (expected == 0)
+        if expected == 0:
+            assert trace.read_text().startswith("generation,min_fitness,max_fitness\n")
 
     @pytest.mark.parametrize(
         "argv, content",
@@ -360,8 +444,11 @@ class TestCli:
             # initial population repairs into the split [0, 1] of fitness 0
             (["experiment", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0),
             (["hga", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0),
+            # unstandardized, a negative round-off eigenvalue once pushed a ratio past 1
+            (["experiment", "--no-standardize", "--population-size", "2", "--seed", "1"],
+             [ROW_A, ROW_B], 0),
         ],
-        ids=["experiment-kmeans", "kmeans", "experiment-hga", "hga"],
+        ids=["experiment-kmeans", "kmeans", "experiment-hga", "hga", "experiment-hga-raw"],
     )
     def test_unsplit_points_exit_code(self, argv, rows, expected, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
@@ -375,13 +462,37 @@ class TestCli:
             assert not out.exists()
             return
         report = json.loads(out.read_text())
-        schema = load_report_schema()
-        if argv[0] == "hga":
-            schema = {"$defs": schema["$defs"], **schema["properties"]["hga"]}
-            report.pop("seed")
-        jsonschema.validate(report, schema)
+        _validate_report(report, argv[0])
         hga = report["hga"] if argv[0] == "experiment" else report
         assert hga["best_fitness"] == 0.0
+
+
+class TestCliFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(run=cli_runs())
+    def test_exit_code_and_artifacts(self, run):
+        argv, text, traced = run
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, out, trace = Path(tmp, "in.csv"), Path(tmp, "out"), Path(tmp, "trace.csv")
+            csv_path.write_text(text)
+            argv = [*argv, "--input", str(csv_path), "--output", str(out)]
+            argv += ["--trace-file", str(trace)] * traced
+            with redirect_stderr(StringIO()) as err, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert code in (0, 2)
+            assert [str(w.message) for w in caught] == []  # a warning would print to stderr
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert not out.exists() and not trace.exists()
+                return
+            assert err.getvalue() == ""
+            assert trace.exists() == traced
+            if "csv-summary" in argv:
+                assert len(out.read_text().splitlines()) == 2
+            else:
+                _validate_report(json.loads(out.read_text()), argv[0])
 
 
 class TestConfigSingleSourced:

@@ -3,8 +3,8 @@ import pytest
 
 from hgaclust import cli
 from hgaclust.dataset import FeatureMatrix
-from hgaclust.errors import ContractError, DimensionError, InsufficientDataError
-from hgaclust.pca import covariance_matrix, project, symmetric_eigendecomposition
+from hgaclust.errors import ContractError, InputError
+from hgaclust.pca import EigenPairs, covariance_matrix, project, symmetric_eigendecomposition
 
 
 class TestCovariance:
@@ -31,7 +31,7 @@ class TestCovariance:
         assert np.abs(cov - cov.T).max() == 0.0
 
     def test_single_row_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InputError, match="covariance needs at least 2 rows"):
             covariance_matrix(np.ones((1, 3)))
 
 
@@ -99,10 +99,16 @@ class TestProject:
         centered = x - x.mean(axis=0)
         assert np.abs(reconstructed - centered).max() < 1e-8
 
+    def test_negative_round_off_eigenvalue_counts_as_zero(self):
+        # over the plain eigenvalue sum 1 - 1e-16, the first ratio would be 1.0000000000000002
+        eig = EigenPairs(np.array([1.0, -1e-16]), np.eye(2))
+        proj = project(np.array([[0.0, 0.0], [1.0, 0.0]]), eig, k=2)
+        assert proj.explained_variance_ratio == (1.0, 0.0)
+
     def test_k_larger_than_d_rejected(self):
         x = np.random.default_rng(0).normal(size=(5, 2))
         eig = symmetric_eigendecomposition(covariance_matrix(x))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ContractError, match="k=3 exceeds the 2 available components"):
             project(x, eig, k=3)
 
     def test_pc1_variance_is_top_eigenvalue(self, prepared):
