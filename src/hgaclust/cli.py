@@ -8,8 +8,8 @@ Subcommands mirror the pipeline stages so each is independently runnable:
   evaluate    score a saved 0/1 assignment against the dataset labels
   experiment  the full pipeline, optionally replicated over seeds
 
-Exit status: 0 on success, 2 for a bad flag value, file or dataset, 3
-for an internal contract violation.
+Exit status: 0 on success, 2 for a bad flag value, file, output directory
+or dataset, 3 for an internal contract violation.
 """
 
 from __future__ import annotations
@@ -200,6 +200,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Refuse, before any stage runs, an output path that names a directory or lies in none."""
+    for path in (getattr(args, name, None) for name in ("output", "scatter", "trace_file")):
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise InputError(f"{path}: not a file path in an existing directory")
+
+
 _COMMANDS = {
     "pca": _cmd_pca,
     "kmeans": _cmd_kmeans,
@@ -212,6 +219,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         return _COMMANDS[args.command](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

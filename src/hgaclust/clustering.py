@@ -6,9 +6,11 @@ A chromosome assigns each projected point to cluster 0 (low risk) or 1
 lower is better. A chromosome that leaves either cluster empty gets
 fitness +inf so it loses every replacement comparison.
 
-The two-cluster geometry (centroid, distances, one nearest-centroid
-reassignment pass) is written once: the GA's improvement step is one
-pass, and the k-means baseline is that pass repeated until no point moves.
+The two-cluster geometry is written once: :func:`chromosome_fitness`
+returns every point's distance to both centroids, and :func:`nearest`
+turns two such arrays into one reassignment pass. The GA's improvement
+step runs it once on its own evaluation's distances; the k-means baseline
+repeats it until no point moves. Evaluating a chromosome does not modify it.
 
 All sums use math.fsum, which is correctly rounded, so fitness values are
 bit-identical regardless of evaluation order and can be compared exactly
@@ -18,7 +20,7 @@ against an independently coded oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +30,12 @@ from .pca import ProjectedDataset
 KMEANS_MAX_ITER = 100
 
 
-@dataclass
+@dataclass(eq=False)
 class Chromosome:
-    """Length-n bit vector (0 = low-risk cluster, 1 = high-risk cluster)."""
+    """Length-n bit vector (0 = low-risk, 1 = high-risk cluster); equal only to itself."""
 
     genes: np.ndarray
-    cached_fitness: float | None = field(default=None, compare=False)
+    cached_fitness: float | None = None
 
     def __post_init__(self) -> None:
         genes = np.asarray(self.genes, dtype=np.uint8)
@@ -51,13 +53,15 @@ class Chromosome:
         return "".join("1" if g else "0" for g in self.genes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitnessBreakdown:
-    """Total fitness and both centroids; a None centroid marks an empty cluster."""
+    """Total fitness, both centroids and all distances to each; None for an empty cluster."""
 
     total: float
     low_centroid: tuple[float, float] | None
     high_centroid: tuple[float, float] | None
+    d_low: np.ndarray | None
+    d_high: np.ndarray | None
 
 
 def as_points(points: ProjectedDataset | np.ndarray) -> np.ndarray:
@@ -79,20 +83,13 @@ def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _cluster_stats(xy: np.ndarray) -> tuple[tuple[float, float] | None, float]:
-    """(centroid, sum of member-to-centroid distances) for one cluster."""
-    if xy.shape[0] == 0:
-        return None, 0.0
-    centroid = _centroid(xy)
-    return centroid, math.fsum(_distances(xy, centroid).tolist())
-
-
 def chromosome_fitness(
     points: ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
-    """Total fitness = low term + high term; +inf if either cluster is empty.
+    """Both centroids, every point's distance to each, and their total.
 
-    The total is cached on the chromosome.
+    The total sums each point's distance to its own cluster's centroid;
+    it is +inf if either cluster is empty. The chromosome is not modified.
     """
     xy = as_points(points)
     if chrom.genes.size != xy.shape[0]:
@@ -100,31 +97,19 @@ def chromosome_fitness(
             f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}"
         )
     mask = chrom.genes == 1
-    low_centroid, low_fit = _cluster_stats(xy[~mask])
-    high_centroid, high_fit = _cluster_stats(xy[mask])
-    if low_centroid is None or high_centroid is None:
-        total = math.inf
-    else:
-        total = low_fit + high_fit
-    chrom.cached_fitness = total
-    return FitnessBreakdown(total, low_centroid, high_centroid)
+    low, high = (_centroid(m) if m.shape[0] else None for m in (xy[~mask], xy[mask]))
+    if low is None or high is None:
+        return FitnessBreakdown(math.inf, low, high, None, None)
+    d_low, d_high = _distances(xy, low), _distances(xy, high)
+    total = math.fsum(d_low[~mask].tolist()) + math.fsum(d_high[mask].tolist())
+    return FitnessBreakdown(total, low, high, d_low, d_high)
 
 
-def reassign_nearest(
-    xy: np.ndarray, low: tuple[float, float], high: tuple[float, float], genes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One nearest-centroid pass over fixed low and high centroids.
-
-    A point moves only to a strictly nearer centroid, so a tie keeps its
-    current gene. Returns the new genes and each point's distance to its
-    new centroid.
-    """
-    d_low = _distances(xy, low)
-    d_high = _distances(xy, high)
-    new_genes = np.where(
+def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:
+    """One reassignment pass: each point takes its strictly nearer centroid, a tie its gene."""
+    return np.where(
         d_high < d_low, np.uint8(1), np.where(d_low < d_high, np.uint8(0), genes)
     )
-    return new_genes, np.minimum(d_low, d_high)
 
 
 @dataclass
@@ -144,7 +129,7 @@ class Assignment:
 
 
 def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
-    """Seeded 2-means: :func:`reassign_nearest` repeated until no point moves.
+    """Seeded 2-means: :func:`nearest` repeated until no point moves.
 
     The starting centroids are two distinct data points drawn with
     ``default_rng(seed)``. The first pass starts from all-zero genes, so
@@ -160,10 +145,12 @@ def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
     objective_trace: list[float] = []
     distance_trace: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        new_genes, assigned = reassign_nearest(xy, centroids[0], centroids[1], genes)
+        d_low, d_high = _distances(xy, centroids[0]), _distances(xy, centroids[1])
+        new_genes = nearest(d_low, d_high, genes)
         if distance_trace and np.array_equal(new_genes, genes):
             break
         genes = new_genes
+        assigned = np.minimum(d_low, d_high)
         objective_trace.append(math.fsum((assigned * assigned).tolist()))
         distance_trace.append(math.fsum(assigned.tolist()))
         for j in (0, 1):

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clustering import Chromosome, as_points, chromosome_fitness, reassign_nearest
+from .clustering import Chromosome, as_points, chromosome_fitness, nearest
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
@@ -115,15 +115,14 @@ def init_population(
     for _ in range(config.population_size):
         chrom = Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8))
         if config.improve_initial_population:
-            chrom = deterministic_improvement(xy, chrom, memo)  # evaluates as a side effect
+            chrom = deterministic_improvement(xy, chrom, memo)
         else:
-            chromosome_fitness(xy, chrom)
+            chrom.cached_fitness = chromosome_fitness(xy, chrom).total
         chromosomes.append(chrom)
     if all(c.cached_fitness == math.inf for c in chromosomes):
         genes = chromosomes[0].genes.copy()
         genes[0] ^= 1
-        chromosomes[0] = Chromosome(genes)
-        chromosome_fitness(xy, chromosomes[0])
+        chromosomes[0] = Chromosome(genes, chromosome_fitness(xy, Chromosome(genes)).total)
     return Population.from_chromosomes(chromosomes)
 
 
@@ -190,11 +189,11 @@ def deterministic_improvement(
 ) -> Chromosome:
     """One nearest-centroid reassignment pass with guarded acceptance.
 
-    Both centroids are computed from the input chromosome and held fixed
-    for one :func:`reassign_nearest` pass. The candidate is kept only if
-    its recomputed fitness does not exceed the input's, so this step can
-    never make a chromosome worse. A chromosome with an empty cluster is
-    returned unchanged.
+    The input is evaluated once and its fitness recorded on it; :func:`nearest`
+    then reads the candidate off that evaluation's distances. The candidate
+    is kept only if its fitness does not exceed the input's, so this step
+    never makes a chromosome worse. Otherwise, or when no point moves or a
+    cluster is empty, the input itself is returned.
 
     ``memo`` maps a candidate's packed genes to its fitness total. The
     pass pulls most children of a run onto a few local optima, so the GA
@@ -207,22 +206,20 @@ def deterministic_improvement(
         memo = {}
     xy = as_points(points)
     base = chromosome_fitness(xy, chrom)
-    if base.low_centroid is None or base.high_centroid is None:
+    chrom.cached_fitness = base.total
+    if base.d_low is None:
         return chrom
-    new_genes, _ = reassign_nearest(xy, base.low_centroid, base.high_centroid, chrom.genes)
+    new_genes = nearest(base.d_low, base.d_high, chrom.genes)
     if np.array_equal(new_genes, chrom.genes):
         return chrom
-    candidate = Chromosome(new_genes)
     key = np.packbits(new_genes).tobytes()
     total = memo.get(key)
     if total is None:
-        total = chromosome_fitness(xy, candidate).total
+        total = chromosome_fitness(xy, Chromosome(new_genes)).total
         if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) <= MEMO_BUDGET_BYTES:
             memo[key] = total
-    else:
-        candidate.cached_fitness = total
     if total <= base.total:
-        return candidate
+        return Chromosome(new_genes, total)
     return chrom
 
 
@@ -262,7 +259,7 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
             if config.improvement_enabled:
                 child = deterministic_improvement(xy, child, memo)
             else:
-                chromosome_fitness(xy, child)
+                child.cached_fitness = chromosome_fitness(xy, child).total
             steady_state_replace(pop, child)
 
         new_min = pop.min_fitness

@@ -83,3 +83,35 @@ def python_two_means(points, start):
                     math.fsum(p[1] for p in members) / k,
                 ]
     return genes, len(distance_trace), objective_trace, distance_trace
+
+
+def python_improvement(points, genes):
+    """The GA's improvement step, from scratch: (genes, fitness) of what it keeps.
+
+    Each point moves to the strictly nearer of the two centroids of
+    ``genes`` (a tie keeps its gene), and the candidate is kept if its
+    fitness does not exceed the input's. Otherwise, or when a cluster is
+    empty, the input's genes and fitness come back.
+    """
+    genes = list(genes)
+    base = python_fitness(points, genes)
+    if base == math.inf:
+        return genes, base
+    centroids = []
+    for cluster in (0, 1):
+        members = [p for p, g in zip(points, genes) if g == cluster]
+        k = len(members)
+        centroids.append((math.fsum(p[0] for p in members) / k,
+                          math.fsum(p[1] for p in members) / k))
+    candidate = []
+    for (x, y), gene in zip(points, genes):
+        d = [math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy)) for cx, cy in centroids]
+        if d[0] < d[1]:
+            gene = 0
+        elif d[1] < d[0]:
+            gene = 1
+        candidate.append(gene)
+    fitness = python_fitness(points, candidate)
+    if fitness <= base:
+        return candidate, fitness
+    return genes, base

@@ -1,7 +1,7 @@
 import json
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from io import StringIO
 from pathlib import Path
@@ -44,9 +44,16 @@ def _chol_rows(first, second):
 
 
 def _validate_report(report: dict, command: str) -> None:
-    """Check a subcommand's JSON report against its part of ``report_schema.json``."""
+    """Check a subcommand's JSON report against its part of ``report_schema.json``.
+
+    ``evaluate`` emits the scoring fields of a clustering block, and ``pca``
+    the projection summary on stdout.
+    """
     schema = load_report_schema()
-    if command != "experiment":
+    if command == "evaluate":
+        scored = ["label_mapping", "confusion", "metrics", "metrics_display"]
+        schema = {"$defs": schema["$defs"], **schema["properties"]["kmeans"], "required": scored}
+    elif command != "experiment":
         schema = {"$defs": schema["$defs"], **schema["properties"][command]}
         report = {key: value for key, value in report.items() if key != "seed"}
     jsonschema.validate(report, schema)
@@ -54,7 +61,11 @@ def _validate_report(report: dict, command: str) -> None:
 
 @st.composite
 def cli_runs(draw):
-    """(argv, CSV text, traced): 2-15 fixture rows with a few cells replaced, small knobs."""
+    """(argv, CSV text, traced, assignment): 2-15 fixture rows with a few cells replaced.
+
+    Knobs take small values; ``evaluate`` gets an assignment of about the
+    row count, or a malformed one, and the other subcommands get None.
+    """
     header, *rows = FIXTURE_TEXT.splitlines()
     picked = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=15))
     cells = [row.split(",") for row in picked]
@@ -63,12 +74,14 @@ def cli_runs(draw):
         row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(FUZZ_CELLS))
     lines = [header] * draw(st.booleans()) + [",".join(row) for row in cells]
 
-    command = draw(st.sampled_from(["experiment", "hga", "kmeans"]))
+    command = draw(st.sampled_from(["experiment", "hga", "kmeans", "pca", "evaluate"]))
     # flag -> (valid values, bad values); at most one knob per example takes a bad value,
     # so each bad value is reached on its own, and about half the examples have none
-    knobs = {"--seed": (range(51), range(-2, 0))}
+    knobs = {}
     switches = ["--standardize", "--no-standardize"]
-    if command != "kmeans":
+    if command in ("experiment", "hga", "kmeans"):
+        knobs["--seed"] = (range(51), range(-2, 0))
+    if command in ("experiment", "hga"):
         knobs["--population-size"] = (range(2, 7), range(2))
         knobs["--max-generations"] = (range(1, 9), range(1))
         knobs["--doldrum-factor"] = (range(1, 4), range(1))
@@ -76,18 +89,24 @@ def cli_runs(draw):
     if command == "experiment":
         knobs["--replicates"] = (range(1, 4), range(1))
         switches.append("--normalize-timings")
-    broken = draw(st.none() | st.sampled_from(list(knobs)))
+    broken = draw(st.none() | st.sampled_from(list(knobs))) if knobs else None
     argv = [command]
     for flag, (good, bad) in knobs.items():
         # always bound the GA: the defaults (2500 chromosomes, 10^6 generations) take seconds
         if flag in ("--population-size", "--max-generations", broken) or draw(st.booleans()):
             argv += [flag, str(draw(st.sampled_from(bad if flag == broken else good)))]
     for flag, choices in (("--impute", IMPUTE_STRATEGIES), ("--format", REPORT_FORMATS)):
-        if draw(st.booleans()):
+        if (command != "pca" or flag == "--impute") and draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(choices))]
     argv += draw(st.lists(st.sampled_from(switches), unique=True))
-    traced = command != "kmeans" and draw(st.booleans())
-    return argv, "\n".join(lines) + "\n", traced
+    traced = command in ("experiment", "hga") and draw(st.booleans())
+    assignment = None
+    if command == "evaluate":
+        size = len(cells) + draw(st.integers(-1, 1))
+        assignment = draw(
+            st.text("01", min_size=size, max_size=size) | st.sampled_from(["", "012", " 01 \n"])
+        )
+    return argv, "\n".join(lines) + "\n", traced, assignment
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +426,31 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--population-size", "4", "--scatter", "{tmp}/s.csv",
+             "--trace-file", "{tmp}/t.csv", "--output", "{tmp}/nodir/out.json"],
+            ["experiment", "--scatter", "{tmp}/nodir/s.csv", "--output", "{tmp}/out.json"],
+            ["hga", "--trace-file", "{tmp}/nodir/t.csv", "--output", "{tmp}/out.json"],
+            ["pca", "--output", "{tmp}/nodir/p.csv"],
+            ["kmeans", "--output", "{tmp}"],
+        ],
+        ids=["experiment-output", "experiment-scatter", "hga-trace", "pca-output", "kmeans-dir"],
+    )
+    def test_bad_output_path_fails_before_the_run(self, argv, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text(f"{ROW_A}\n{ROW_B}\n{ROW_A}\n")
+        calls = []
+        for module in (experiment, cli):
+            monkeypatch.setattr(module, "prepare_points", calls.append)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert cli.main([*argv, "--input", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert calls == []
+        assert [path.name for path in tmp_path.iterdir()] == ["rows.csv"]
+
     def test_replicates_prepare_points_once(self, heart_csv, tmp_path, monkeypatch):
         calls = []
         prepare = experiment.prepare_points
@@ -468,16 +512,20 @@ class TestCli:
 
 
 class TestCliFuzz:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(run=cli_runs())
     def test_exit_code_and_artifacts(self, run):
-        argv, text, traced = run
+        argv, text, traced, assignment = run
         with tempfile.TemporaryDirectory() as tmp:
             csv_path, out, trace = Path(tmp, "in.csv"), Path(tmp, "out"), Path(tmp, "trace.csv")
             csv_path.write_text(text)
             argv = [*argv, "--input", str(csv_path), "--output", str(out)]
             argv += ["--trace-file", str(trace)] * traced
-            with redirect_stderr(StringIO()) as err, warnings.catch_warnings(record=True) as caught:
+            if assignment is not None:
+                Path(tmp, "assign.txt").write_text(assignment)
+                argv += ["--assignment", str(Path(tmp, "assign.txt"))]
+            with redirect_stderr(StringIO()) as err, redirect_stdout(StringIO()) as stdout, \
+                    warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = cli.main(argv)
             assert code in (0, 2)
@@ -489,7 +537,10 @@ class TestCliFuzz:
                 return
             assert err.getvalue() == ""
             assert trace.exists() == traced
-            if "csv-summary" in argv:
+            if argv[0] == "pca":
+                assert out.read_text().startswith("pc1,pc2,target\n")
+                _validate_report(json.loads(stdout.getvalue()), "pca")
+            elif "csv-summary" in argv:
                 assert len(out.read_text().splitlines()) == 2
             else:
                 _validate_report(json.loads(out.read_text()), argv[0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgaclust import hga
@@ -20,7 +20,7 @@ from hgaclust.hga import (
     two_point_mutation,
 )
 
-from oracles import brute_force_min_fitness
+from oracles import brute_force_min_fitness, python_improvement
 
 TWO_PAIRS = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
 
@@ -166,10 +166,19 @@ class TestMutation:
 
     def test_cache_not_carried_over(self):
         c = bits("0011")
-        chromosome_fitness(TWO_PAIRS, c)
-        assert c.cached_fitness is not None
+        c.cached_fitness = 4.0
         mutated = two_point_mutation(c, np.random.default_rng(0))
         assert mutated.cached_fitness is None
+
+
+@st.composite
+def points_and_chromosomes(draw):
+    """A few points on a coarse grid (ties included) and a stream of chromosomes."""
+    n = draw(st.integers(2, 9))
+    coords = st.integers(-3, 3).map(lambda v: v / 2)
+    points = np.array(draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+    genes = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return points, draw(st.lists(genes, min_size=1, max_size=25))
 
 
 class TestDeterministicImprovement:
@@ -215,6 +224,23 @@ class TestDeterministicImprovement:
                 return math.fsum(d.tolist())
 
             assert assigned_sum(improved.genes) <= assigned_sum(c.genes)
+
+    @settings(max_examples=200)
+    @given(points_and_chromosomes())
+    # a pass that moves a point but raises the fitness: the candidate is rejected
+    @example((np.array([[1.5, -0.5], [1.5, -1.0], [1.5, -1.5], [1.5, 1.5], [0.5, -1.5]]),
+              [[1, 1, 1, 1, 0]]))
+    def test_matches_the_python_oracle(self, case):
+        points, stream = case
+        memo = {}
+        for genes in stream:
+            chrom = Chromosome(np.array(genes, dtype=np.uint8))
+            improved = deterministic_improvement(points, chrom, memo)
+            expected_genes, expected_fitness = python_improvement(points.tolist(), genes)
+            assert improved.genes.tolist() == expected_genes
+            assert improved.cached_fitness.hex() == expected_fitness.hex()
+            # the input itself comes back when no point moves or the candidate is rejected
+            assert (improved is chrom) == (expected_genes == genes)
 
 
 class TestSteadyStateReplace:
@@ -321,16 +347,6 @@ class TestRunHga:
             pts, HgaConfig(population_size=30, improvement_enabled=False, seed=4)
         )
         assert on.best_fitness <= off.best_fitness
-
-
-@st.composite
-def points_and_chromosomes(draw):
-    """A few points on a coarse grid (ties included) and a stream of chromosomes."""
-    n = draw(st.integers(2, 9))
-    coords = st.integers(-3, 3).map(lambda v: v / 2)
-    points = np.array(draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
-    genes = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    return points, draw(st.lists(genes, min_size=1, max_size=25))
 
 
 class TestImprovementMemo:
