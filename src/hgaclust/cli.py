@@ -8,13 +8,14 @@ Subcommands mirror the pipeline stages so each is independently runnable:
   evaluate    score a saved 0/1 assignment against the dataset labels
   experiment  the full pipeline, optionally replicated over seeds
 
-Exit status: 0 on success, 2 for a bad flag value, file, output directory
+Exit status: 0 on success, 2 for a bad flag value, file, output path
 or dataset, 3 for an internal contract violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -176,7 +177,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _, _, labels, _, _ = prepare_points(config)
     try:
-        text = Path(args.assignment).read_text().strip()
+        text = Path(args.assignment).read_text(encoding="utf-8-sig").strip()
     except UnicodeDecodeError as exc:
         raise InputError(f"{args.assignment}: {exc}") from None
     if not text or set(text) - {"0", "1"}:
@@ -201,10 +202,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Refuse, before any stage runs, an output path that names a directory or lies in none."""
+    """Refuse, before any stage runs, an output path that names a directory, lies in
+    none, or names the same file as an input or an earlier output."""
+    inputs = (args.input, getattr(args, "assignment", None))
+    taken = {os.path.realpath(path) for path in inputs if path}
     for path in (getattr(args, name, None) for name in ("output", "scatter", "trace_file")):
-        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        if not path:
+            continue
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise InputError(f"{path}: not a file path in an existing directory")
+        if os.path.realpath(path) in taken:
+            raise InputError(f"{path}: names the same file as an input or another output")
+        taken.add(os.path.realpath(path))
 
 
 _COMMANDS = {

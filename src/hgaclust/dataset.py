@@ -1,10 +1,10 @@
 """Ingestion of the 14-attribute heart-disease CSV.
 
-File format: comma separated, optional header row (detected by a
-non-numeric first row), ``?`` as the only missing-value sentinel, columns
-in the fixed UCI order of :data:`HEART_COLUMNS`. The target column is
-binarized on load: 0 stays 0 (low risk), any positive value becomes 1
-(high risk).
+File format: UTF-8 (a leading byte-order mark is skipped), comma
+separated, optional header row (detected by a non-numeric first row),
+``?`` as the only missing-value sentinel, columns in the fixed UCI order
+of :data:`HEART_COLUMNS`. The target column is binarized on load: 0 stays
+0 (low risk), any positive value becomes 1 (high risk).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def load_heart_csv(path: str | Path) -> RawDataset:
     :data:`HEART_COLUMNS`.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             raw_rows = list(csv.reader(handle))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: {exc}") from None

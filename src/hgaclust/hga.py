@@ -14,7 +14,6 @@ run seed, so a run is a pure function of (points, config).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,36 +52,18 @@ class HgaConfig:
 
 @dataclass
 class Population:
+    """Chromosomes and their fitness totals, held once: the extremes are read off ``fitness``."""
+
     chromosomes: list[Chromosome]
     fitness: np.ndarray
-    min_index: int = 0
-    max_index: int = 0
-
-    @classmethod
-    def from_chromosomes(cls, chromosomes: list[Chromosome]) -> "Population":
-        if any(c.cached_fitness is None for c in chromosomes):
-            raise ContractError("every chromosome must be evaluated first")
-        fitness = np.array([c.cached_fitness for c in chromosomes], dtype=np.float64)
-        pop = cls(chromosomes, fitness)
-        pop.refresh_extremes()
-        return pop
-
-    def refresh_extremes(self) -> None:
-        # argmin/argmax take the first occurrence, which fixes ties deterministically
-        self.min_index = int(np.argmin(self.fitness))
-        self.max_index = int(np.argmax(self.fitness))
-
-    @property
-    def size(self) -> int:
-        return len(self.chromosomes)
 
     @property
     def min_fitness(self) -> float:
-        return float(self.fitness[self.min_index])
+        return float(self.fitness.min())
 
     @property
     def max_fitness(self) -> float:
-        return float(self.fitness[self.max_index])
+        return float(self.fitness.max())
 
 
 @dataclass
@@ -111,19 +92,18 @@ def init_population(
     n = xy.shape[0]
     if n < 2:
         raise ContractError("need at least 2 points")
-    chromosomes = []
-    for _ in range(config.population_size):
-        chrom = Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8))
-        if config.improve_initial_population:
-            chrom = deterministic_improvement(xy, chrom, memo)
-        else:
-            chrom.cached_fitness = chromosome_fitness(xy, chrom).total
-        chromosomes.append(chrom)
-    if all(c.cached_fitness == math.inf for c in chromosomes):
+    improve = config.improve_initial_population
+    chromosomes = [
+        _scored(xy, Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8)), improve, memo)
+        for _ in range(config.population_size)
+    ]
+    fitness = np.array([c.cached_fitness for c in chromosomes])
+    if np.isinf(fitness).all():
         genes = chromosomes[0].genes.copy()
         genes[0] ^= 1
-        chromosomes[0] = Chromosome(genes, chromosome_fitness(xy, Chromosome(genes)).total)
-    return Population.from_chromosomes(chromosomes)
+        chromosomes[0] = _scored(xy, Chromosome(genes), False, memo)
+        fitness[0] = chromosomes[0].cached_fitness
+    return Population(chromosomes, fitness)
 
 
 def _distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
@@ -137,9 +117,9 @@ def _distinct_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
 
 def select_parents(pop: Population, rng: np.random.Generator) -> tuple[int, int]:
     """Two distinct indices, uniform over ordered pairs."""
-    if pop.size < 2:
+    if len(pop.chromosomes) < 2:
         raise ContractError("selection needs a population of at least 2")
-    return _distinct_pair(rng, pop.size)
+    return _distinct_pair(rng, len(pop.chromosomes))
 
 
 def one_point_crossover(
@@ -223,14 +203,24 @@ def deterministic_improvement(
     return chrom
 
 
+def _scored(
+    xy: np.ndarray, chrom: Chromosome, improve: bool, memo: dict[bytes, float] | None
+) -> Chromosome:
+    """``chrom`` improved with ``memo``, or ``chrom`` itself evaluated; either way scored."""
+    if improve:
+        return deterministic_improvement(xy, chrom, memo)
+    chrom.cached_fitness = chromosome_fitness(xy, chrom).total
+    return chrom
+
+
 def steady_state_replace(pop: Population, offspring: Chromosome) -> bool:
-    """Overwrite the worst chromosome if the offspring is strictly better."""
+    """Put the offspring in place of the worst (first maximal) one if strictly better."""
     if offspring.cached_fitness is None:
         raise ContractError("offspring fitness must be evaluated before replacement")
-    if offspring.cached_fitness < pop.fitness[pop.max_index]:
-        pop.chromosomes[pop.max_index] = offspring
-        pop.fitness[pop.max_index] = offspring.cached_fitness
-        pop.refresh_extremes()
+    worst = int(np.argmax(pop.fitness))
+    if offspring.cached_fitness < pop.fitness[worst]:
+        pop.chromosomes[worst] = offspring
+        pop.fitness[worst] = offspring.cached_fitness
         return True
     return False
 
@@ -256,11 +246,7 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
         for child in offspring:
             if config.mutation_enabled:
                 child = two_point_mutation(child, rng)
-            if config.improvement_enabled:
-                child = deterministic_improvement(xy, child, memo)
-            else:
-                child.cached_fitness = chromosome_fitness(xy, child).total
-            steady_state_replace(pop, child)
+            steady_state_replace(pop, _scored(xy, child, config.improvement_enabled, memo))
 
         new_min = pop.min_fitness
         if new_min < current_min:
@@ -275,5 +261,5 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
             terminated_by = "doldrum"
             break
 
-    best = pop.chromosomes[pop.min_index]
-    return HgaResult(best, pop.min_fitness, generation, trace, terminated_by)
+    best = int(np.argmin(pop.fitness))  # the first on ties
+    return HgaResult(pop.chromosomes[best], pop.min_fitness, generation, trace, terminated_by)

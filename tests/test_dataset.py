@@ -117,6 +117,16 @@ class TestLoad:
         assert data.values[:, 13].tolist() == [0.0, 1.0]
 
 
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "headerless"])
+    def test_byte_order_mark_skipped(self, header, heart_csv, tmp_path):
+        lines = Path(heart_csv).read_bytes().splitlines(keepends=True)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"".join(lines if header else lines[1:]))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, loaded = load_heart_csv(plain), load_heart_csv(marked)
+        assert np.array_equal(loaded.values, expected.values, equal_nan=True)
+        assert loaded.imputed_cells == expected.imputed_cells != ()
+
 class TestLoaderFuzz:
     @settings(max_examples=300)
     @given(

@@ -61,10 +61,11 @@ def _validate_report(report: dict, command: str) -> None:
 
 @st.composite
 def cli_runs(draw):
-    """(argv, CSV text, traced, assignment): 2-15 fixture rows with a few cells replaced.
+    """(argv, CSV text, traced, assignment, clash): 2-15 fixture rows with a few cells replaced.
 
     Knobs take small values; ``evaluate`` gets an assignment of about the
     row count, or a malformed one, and the other subcommands get None.
+    ``clash`` is None, or now and then an output flag to point at the input.
     """
     header, *rows = FIXTURE_TEXT.splitlines()
     picked = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=15))
@@ -106,7 +107,8 @@ def cli_runs(draw):
         assignment = draw(
             st.text("01", min_size=size, max_size=size) | st.sampled_from(["", "012", " 01 \n"])
         )
-    return argv, "\n".join(lines) + "\n", traced, assignment
+    clash = draw(st.sampled_from([None] * 6 + ["--output"] + ["--trace-file"] * traced))
+    return argv, "\n".join(lines) + "\n", traced, assignment, clash
 
 
 @pytest.fixture(scope="module")
@@ -435,21 +437,52 @@ class TestCli:
             ["hga", "--trace-file", "{tmp}/nodir/t.csv", "--output", "{tmp}/out.json"],
             ["pca", "--output", "{tmp}/nodir/p.csv"],
             ["kmeans", "--output", "{tmp}"],
+            # an output that names an input or another output would overwrite it
+            ["hga", "--population-size", "4", "--max-generations", "3", "--trace-file", "{input}"],
+            ["experiment", "--trace-file", "{input}", "--output", "{tmp}/o.json"],
+            ["experiment", "--output", "{input}"],
+            ["experiment", "--scatter", "{tmp}/sc.csv", "--output", "{tmp}/sc.csv"],
+            ["hga", "--trace-file", "{tmp}/t.csv", "--output", "{tmp}/t.csv"],
+            ["pca", "--output", "rows.csv"],
+            ["kmeans", "--output", "{tmp}/link.csv"],
+            ["evaluate", "--assignment", "{tmp}/a.txt", "--output", "{tmp}/a.txt"],
         ],
-        ids=["experiment-output", "experiment-scatter", "hga-trace", "pca-output", "kmeans-dir"],
+        ids=[
+            "experiment-output", "experiment-scatter", "hga-trace", "pca-output", "kmeans-dir",
+            "hga-trace-input", "experiment-trace-input", "experiment-output-input",
+            "scatter-output", "trace-output", "pca-relative-input", "kmeans-symlink-input",
+            "evaluate-output-assignment",
+        ],
     )
     def test_bad_output_path_fails_before_the_run(self, argv, tmp_path, monkeypatch, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text(f"{ROW_A}\n{ROW_B}\n{ROW_A}\n")
+        (tmp_path / "a.txt").write_text("010")
+        (tmp_path / "link.csv").symlink_to(csv_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         calls = []
         for module in (experiment, cli):
             monkeypatch.setattr(module, "prepare_points", calls.append)
-        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(tmp=tmp_path, input=csv_path) for arg in argv]
         assert cli.main([*argv, "--input", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert calls == []
-        assert [path.name for path in tmp_path.iterdir()] == ["rows.csv"]
+        # no file is created, and none changes
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_byte_order_mark_accepted(self, heart_csv, tmp_path, capsys):
+        outputs = []
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            csv_path, assignment = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            csv_path.write_bytes(mark + Path(heart_csv).read_bytes())
+            assignment.write_bytes(mark + b"01" * 151 + b"0\n")
+            given = ["--input", str(csv_path)]
+            assert cli.main(["kmeans", *given, "--seed", "7"]) == 0
+            assert cli.main(["evaluate", *given, "--assignment", str(assignment)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_replicates_prepare_points_once(self, heart_csv, tmp_path, monkeypatch):
         calls = []
@@ -515,12 +548,13 @@ class TestCliFuzz:
     @settings(max_examples=200, deadline=None)
     @given(run=cli_runs())
     def test_exit_code_and_artifacts(self, run):
-        argv, text, traced, assignment = run
+        argv, text, traced, assignment, clash = run
         with tempfile.TemporaryDirectory() as tmp:
             csv_path, out, trace = Path(tmp, "in.csv"), Path(tmp, "out"), Path(tmp, "trace.csv")
             csv_path.write_text(text)
-            argv = [*argv, "--input", str(csv_path), "--output", str(out)]
-            argv += ["--trace-file", str(trace)] * traced
+            paths = {"--output": out, "--trace-file": trace, clash: csv_path}
+            argv = [*argv, "--input", str(csv_path), "--output", str(paths["--output"])]
+            argv += ["--trace-file", str(paths["--trace-file"])] * traced
             if assignment is not None:
                 Path(tmp, "assign.txt").write_text(assignment)
                 argv += ["--assignment", str(Path(tmp, "assign.txt"))]
@@ -528,7 +562,8 @@ class TestCliFuzz:
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = cli.main(argv)
-            assert code in (0, 2)
+            assert code == 2 if clash else code in (0, 2)
+            assert csv_path.read_text() == text
             assert [str(w.message) for w in caught] == []  # a warning would print to stderr
             if code == 2:
                 lines = err.getvalue().splitlines()

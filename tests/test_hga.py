@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from hgaclust.hga import (
 from oracles import brute_force_min_fitness, python_improvement
 
 TWO_PAIRS = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
+# a few exact values, so that ties and +inf (an empty cluster) come up often
+FITNESS = st.sampled_from([0.0, 1.0, 2.5, math.inf]) | st.floats(0, 100)
 
 
 def bits(text):
@@ -33,7 +36,7 @@ class TestInitPopulation:
     def test_shape(self):
         rng = np.random.default_rng(0)
         pop = init_population(np.zeros((5, 2)) + np.arange(5)[:, None], HgaConfig(population_size=4), rng)
-        assert pop.size == 4
+        assert len(pop.chromosomes) == 4
         assert all(len(c) == 5 for c in pop.chromosomes)
         assert not np.isnan(pop.fitness).any()
 
@@ -51,7 +54,7 @@ class TestInitPopulation:
         *_, projected = prepared
         rng = np.random.default_rng(3)
         pop = init_population(projected, HgaConfig(population_size=2500), rng)
-        assert pop.size == 2500
+        assert len(pop.chromosomes) == 2500
         assert all(c.cached_fitness is not None for c in pop.chromosomes)
 
     def test_all_one_sided_population_is_repaired(self):
@@ -61,7 +64,7 @@ class TestInitPopulation:
         pop = init_population(TWO_PAIRS[:2], HgaConfig(population_size=2), rng)
         assert [c.genes_string() for c in pop.chromosomes] == ["01", "11"]
         assert pop.fitness.tolist() == [0.0, math.inf]
-        assert (pop.min_index, pop.max_index) == (0, 1)
+        assert (pop.min_fitness, pop.max_fitness) == (0.0, math.inf)
         after = np.random.default_rng(1)
         after.integers(0, 2, size=2, dtype=np.uint8)
         after.integers(0, 2, size=2, dtype=np.uint8)
@@ -70,26 +73,23 @@ class TestInitPopulation:
     def test_extreme_indices_consistent(self):
         pts = np.random.default_rng(2).normal(size=(10, 2))
         pop = init_population(pts, HgaConfig(population_size=30), np.random.default_rng(5))
-        assert pop.fitness[pop.min_index] == pop.fitness.min()
-        assert pop.fitness[pop.max_index] == pop.fitness.max()
+        totals = [chromosome_fitness(pts, c).total for c in pop.chromosomes]
+        assert pop.fitness.tolist() == totals
+        assert (pop.min_fitness, pop.max_fitness) == (min(totals), max(totals))
 
 
 class TestSelectParents:
     def test_size_two_forced(self):
-        pop = Population.from_chromosomes(
-            [
-                Chromosome(np.array([0, 1], dtype=np.uint8), 1.0),
-                Chromosome(np.array([1, 0], dtype=np.uint8), 2.0),
-            ]
-        )
+        chroms = [Chromosome(np.array(genes, dtype=np.uint8)) for genes in ([0, 1], [1, 0])]
+        pop = Population(chroms, np.array([1.0, 2.0]))
         rng = np.random.default_rng(0)
         for _ in range(20):
             pair = select_parents(pop, rng)
             assert sorted(pair) == [0, 1]
 
     def test_empirical_uniformity(self):
-        chroms = [Chromosome(np.array([0, 1], dtype=np.uint8), float(i)) for i in range(10)]
-        pop = Population.from_chromosomes(chroms)
+        chroms = [Chromosome(np.array([0, 1], dtype=np.uint8)) for _ in range(10)]
+        pop = Population(chroms, np.arange(10.0))
         rng = np.random.default_rng(123)
         counts = np.zeros(10)
         draws = 100_000
@@ -102,8 +102,8 @@ class TestSelectParents:
         assert np.abs(freqs - 0.2).max() < 0.01
 
     def test_same_seed_same_sequence(self):
-        chroms = [Chromosome(np.array([0, 1], dtype=np.uint8), float(i)) for i in range(7)]
-        pop = Population.from_chromosomes(chroms)
+        chroms = [Chromosome(np.array([0, 1], dtype=np.uint8)) for _ in range(7)]
+        pop = Population(chroms, np.arange(7.0))
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
         seq_a = [select_parents(pop, rng_a) for _ in range(50)]
         seq_b = [select_parents(pop, rng_b) for _ in range(50)]
@@ -245,10 +245,8 @@ class TestDeterministicImprovement:
 
 class TestSteadyStateReplace:
     def _population(self, fitnesses):
-        chroms = [
-            Chromosome(np.array([0, 1, 0], dtype=np.uint8), float(f)) for f in fitnesses
-        ]
-        return Population.from_chromosomes(chroms)
+        chroms = [Chromosome(np.array([0, 1, 0], dtype=np.uint8), f) for f in fitnesses]
+        return Population(chroms, np.array(fitnesses, dtype=np.float64))
 
     def test_strict_improvement_replaces_worst(self):
         pop = self._population([5.0, 3.0, 4.0, 1.0])
@@ -281,6 +279,22 @@ class TestSteadyStateReplace:
         pop = self._population([2.0, 1.0])
         with pytest.raises(ContractError):
             steady_state_replace(pop, Chromosome(np.array([0, 1, 0], dtype=np.uint8)))
+
+    @settings(max_examples=200)
+    @given(st.lists(FITNESS, min_size=2, max_size=8), st.lists(FITNESS, max_size=20))
+    def test_matches_a_list_oracle(self, initial, stream):
+        # the oracle: the first maximum is the worst, replaced only on a strict decrease
+        pop = self._population(initial)
+        expected = list(initial)
+        for value in stream:
+            offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8), value)
+            worst = expected.index(max(expected))
+            accepted = value < expected[worst]
+            if accepted:
+                expected[worst] = value
+            assert steady_state_replace(pop, offspring) == accepted
+            assert pop.fitness.tolist() == expected
+            assert (pop.chromosomes[worst] is offspring) == accepted
 
 
 class TestRunHga:
@@ -438,3 +452,84 @@ class TestRunHgaMemo:
         run_hga(projected, config)
         assert calls["improve"] > 0
         assert calls["fitness"] < config.population_size + 2 * calls["improve"]
+
+
+class TestRunHgaFrozen:
+    """Whole runs frozen bit for bit: best fitness, genes, length, stop and trace.
+
+    The path has no PCA and no BLAS call, only elementwise IEEE arithmetic
+    and ``math.fsum``, so the bits hold on every platform.
+    """
+
+    POINTS = np.random.default_rng(1).normal(size=(40, 2))
+    # (flags, seed) -> (best_fitness.hex(), genes, generations_run, terminated_by,
+    #                   sha256 of the comma-joined hex trace)
+    FROZEN = {
+        ("default", 0): (
+            "0x1.f89d5b3b05b34p+4", "0100001011101101001011010111010110100011", 64, "doldrum",
+            "28e2072896e87985d3808efe69a6e39f86ad7e3b959421343b20f0069ba9b034",
+        ),
+        ("default", 1): (
+            "0x1.f89d5b3b05b34p+4", "1011110100010010110100101000101001011100", 67, "doldrum",
+            "eebd96179bd69b457b8e70467e186aa7e4ba3456d5993b9b1e6bf4fdef4e5eaf",
+        ),
+        ("default", 2): (
+            "0x1.f89d5b3b05b34p+4", "1011110100010010110100101000101001011100", 62, "doldrum",
+            "88968a5916f4346de02f85cb90de3019089138f1706c2c9428bc02ea6d186263",
+        ),
+        ("improve_initial", 0): (
+            "0x1.f89d5b3b05b34p+4", "1011110100010010110100101000101001011100", 60, "doldrum",
+            "92fb806e0b56414e568cf33fcbbe9a33dcc5ea60134f2714ff5b8dbb49b0583a",
+        ),
+        ("improve_initial", 1): (
+            "0x1.f89d5b3b05b34p+4", "1011110100010010110100101000101001011100", 60, "doldrum",
+            "92fb806e0b56414e568cf33fcbbe9a33dcc5ea60134f2714ff5b8dbb49b0583a",
+        ),
+        ("improve_initial", 2): (
+            "0x1.f89d5b3b05b34p+4", "1011110100010010110100101000101001011100", 60, "doldrum",
+            "92fb806e0b56414e568cf33fcbbe9a33dcc5ea60134f2714ff5b8dbb49b0583a",
+        ),
+        ("no_improvement", 0): (
+            "0x1.06159a9738581p+5", "0100101011101111001011010111110110010011", 328, "doldrum",
+            "f4a3369415bff0277ba0a736c3e28b3bfd3acc6e3980216db3b0f5fa1e86f5a7",
+        ),
+        ("no_improvement", 1): (
+            "0x1.24e9e5599e90dp+5", "0101000011001101001000011101011100101011", 60, "doldrum",
+            "74eb18f20373cb92c024331e8362c1ba475bc80df264a1d2ba8513e994caa493",
+        ),
+        ("no_improvement", 2): (
+            "0x1.fab40500b0b95p+4", "1011110100010010110100101000101001111100", 343, "doldrum",
+            "8f396da5cfa9f53f328fbc57d7ce4778450ca93d7acaaaae183d220442d41416",
+        ),
+        ("no_mutation", 0): (
+            "0x1.f89d5b3b05b34p+4", "0100001011101101001011010111010110100011", 65, "doldrum",
+            "34af39bafb7d07bcb5dce4ac84caecd7084489121cbe225d1103b9bc99a12204",
+        ),
+        ("no_mutation", 1): (
+            "0x1.04a9cfa86c697p+5", "0100001001001100001011010100010100100011", 80, "doldrum",
+            "625c15764a37a25f8775ccd170e52897faebfd7642e7ecbb85aa6fad59affce9",
+        ),
+        ("no_mutation", 2): (
+            "0x1.f89d5b3b05b34p+4", "1011110100010010110100101000101001011100", 64, "doldrum",
+            "244727e67c734a5f9a2f05276688afbb8cde38010104395504195d8cbe098b4b",
+        ),
+    }
+    FLAGS = {
+        "default": {},
+        "improve_initial": {"improve_initial_population": True},
+        "no_improvement": {"improvement_enabled": False},
+        "no_mutation": {"mutation_enabled": False},
+    }
+
+    @pytest.mark.parametrize("flags, seed", list(FROZEN), ids=[f"{f}-{s}" for f, s in FROZEN])
+    def test_run_matches_frozen_signature(self, flags, seed):
+        config = HgaConfig(population_size=30, seed=seed, **self.FLAGS[flags])
+        result = run_hga(self.POINTS, config)
+        trace = ",".join(value.hex() for value in result.min_fitness_trace)
+        assert (
+            result.best_fitness.hex(),
+            result.best_chromosome.genes_string(),
+            result.generations_run,
+            result.terminated_by,
+            hashlib.sha256(trace.encode()).hexdigest(),
+        ) == self.FROZEN[flags, seed]
