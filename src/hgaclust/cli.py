@@ -203,17 +203,25 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _check_output_paths(args: argparse.Namespace) -> None:
     """Refuse, before any stage runs, an output path that names a directory, lies in
-    none, or names the same file as an input or an earlier output."""
+    none, or names the same file as an input or an earlier output, also by a hard link."""
+
+    def names(path: str) -> set[str | tuple[int, int]]:
+        try:
+            stat = os.stat(path)
+        except OSError:  # not there yet, or a loop the run itself reports
+            return {os.path.realpath(path)}
+        return {os.path.realpath(path), (stat.st_dev, stat.st_ino)}
+
     inputs = (args.input, getattr(args, "assignment", None))
-    taken = {os.path.realpath(path) for path in inputs if path}
+    taken = set().union(*(names(path) for path in inputs if path))
     for path in (getattr(args, name, None) for name in ("output", "scatter", "trace_file")):
         if not path:
             continue
         if Path(path).is_dir() or not Path(path).parent.is_dir():
             raise InputError(f"{path}: not a file path in an existing directory")
-        if os.path.realpath(path) in taken:
+        if names(path) & taken:
             raise InputError(f"{path}: names the same file as an input or another output")
-        taken.add(os.path.realpath(path))
+        taken |= names(path)
 
 
 _COMMANDS = {

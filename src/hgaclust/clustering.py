@@ -12,9 +12,10 @@ turns two such arrays into one reassignment pass. The GA's improvement
 step runs it once on its own evaluation's distances; the k-means baseline
 repeats it until no point moves. Evaluating a chromosome does not modify it.
 
-All sums use math.fsum, which is correctly rounded, so fitness values are
-bit-identical regardless of evaluation order and can be compared exactly
-against an independently coded oracle.
+Centroid and fitness sums are correctly rounded, with the same bits as
+math.fsum, so fitness values do not depend on evaluation order and can be
+compared exactly against an independently coded oracle. Arrays of at least
+SUM_CROSSOVER values are summed by error-free extraction instead of fsum.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .errors import ContractError
 from .pca import ProjectedDataset
 
 KMEANS_MAX_ITER = 100
+SUM_CROSSOVER = 1024  # values per sum from which extraction beats fsum over a list
+EXTRACTION_PASSES = 4  # real data needs 2; what is left after these goes to fsum
 
 
 @dataclass(eq=False)
@@ -70,17 +73,51 @@ def as_points(points: ProjectedDataset | np.ndarray) -> np.ndarray:
     return np.asarray(points, dtype=np.float64)
 
 
-def _centroid(xy: np.ndarray) -> tuple[float, float]:
-    """Mean of a non-empty cluster, each axis summed with fsum."""
-    k = xy.shape[0]
-    return math.fsum(xy[:, 0].tolist()) / k, math.fsum(xy[:, 1].tolist()) / k
+def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """``math.fsum`` of ``values[~mask]`` and of ``values[mask]``, bit for bit.
+
+    From SUM_CROSSOVER values on, each pass splits the remainder ``r`` exactly
+    into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump, Ogita and Oishi 2008).
+    With ``sigma`` a power of two above (n + 1) * max|r|, every partial sum of
+    ``q`` fits in 53 bits on one grid below sigma, so bincount sums it exactly
+    in any order; fsum rounds those partials plus any remainder left.
+    """
+    if values.size < SUM_CROSSOVER:
+        return math.fsum(values[~mask].tolist()), math.fsum(values[mask].tolist())
+    parts: tuple[list[float], list[float]] = ([], [])
+    r = values
+    for _ in range(EXTRACTION_PASSES):
+        top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
+        if top == 0.0:
+            return math.fsum(parts[0]), math.fsum(parts[1])
+        scale = math.frexp(top)[1] + (values.size + 1).bit_length()
+        if not math.isfinite(top) or scale > 1023:
+            break
+        sigma = math.ldexp(1.0, scale)
+        q = r + sigma
+        q -= sigma
+        r = r - q
+        for part, total in zip(parts, np.bincount(mask, weights=q, minlength=2).tolist()):
+            part.append(total)
+    left = r != 0  # the passes ran out, or sigma would not be finite
+    low, high = (math.fsum(p + r[left & m].tolist()) for p, m in zip(parts, (~mask, mask)))
+    return low, high
+
+
+def _centroids(xy: np.ndarray, mask: np.ndarray) -> list[tuple[float, float] | None]:
+    """Mean of cluster 0 (``~mask``) and of cluster 1 (``mask``); None if empty."""
+    high = int(np.count_nonzero(mask))
+    sums = zip(_cluster_sums(xy[:, 0], mask), _cluster_sums(xy[:, 1], mask))
+    return [(x / k, y / k) if k else None for (x, y), k in zip(sums, (mask.size - high, high))]
 
 
 def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
-    """Euclidean distance of every point to one centroid."""
-    dx = xy[:, 0] - centroid[0]
-    dy = xy[:, 1] - centroid[1]
-    return np.sqrt(dx * dx + dy * dy)
+    """Euclidean distance of every point to one centroid, in place on two temporaries."""
+    dx, dy = xy[:, 0] - centroid[0], xy[:, 1] - centroid[1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def chromosome_fitness(
@@ -97,12 +134,12 @@ def chromosome_fitness(
             f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}"
         )
     mask = chrom.genes == 1
-    low, high = (_centroid(m) if m.shape[0] else None for m in (xy[~mask], xy[mask]))
+    low, high = _centroids(xy, mask)
     if low is None or high is None:
         return FitnessBreakdown(math.inf, low, high, None, None)
     d_low, d_high = _distances(xy, low), _distances(xy, high)
-    total = math.fsum(d_low[~mask].tolist()) + math.fsum(d_high[mask].tolist())
-    return FitnessBreakdown(total, low, high, d_low, d_high)
+    low_total, high_total = _cluster_sums(np.where(mask, d_high, d_low), mask)
+    return FitnessBreakdown(low_total + high_total, low, high, d_low, d_high)
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:
@@ -153,8 +190,7 @@ def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
         assigned = np.minimum(d_low, d_high)
         objective_trace.append(math.fsum((assigned * assigned).tolist()))
         distance_trace.append(math.fsum(assigned.tolist()))
-        for j in (0, 1):
-            members = xy[genes == j]
-            if members.shape[0]:
-                centroids[j] = _centroid(members)
+        for j, centroid in enumerate(_centroids(xy, genes == 1)):
+            if centroid is not None:
+                centroids[j] = centroid
     return Assignment(genes, len(distance_trace), objective_trace, distance_trace)

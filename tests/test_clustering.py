@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hgaclust import clustering
 from hgaclust.clustering import Chromosome, chromosome_fitness, kmeans
 from hgaclust.errors import ContractError
 
@@ -153,6 +155,83 @@ class TestChromosomeFitness:
         assert lib_min == oracle_min
 
 
+def fsum_bits(values, mask):
+    try:
+        return math.fsum(values[~mask].tolist()).hex(), math.fsum(values[mask].tolist()).hex()
+    except OverflowError as exc:  # an intermediate sum passes float_info.max
+        return repr(exc), repr(exc)
+
+
+def cluster_sum_bits(values, mask):
+    try:
+        return tuple(total.hex() for total in clustering._cluster_sums(values, mask))
+    except OverflowError as exc:
+        return repr(exc), repr(exc)
+
+
+MAX = sys.float_info.max
+SUMMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals to float_info.max
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, MAX, -MAX, MAX / 4]),
+)
+# Cancelling pairs at twelve levels 180 binades apart, from 2**980 down, then
+# 2**-1000 and 3.0: each extraction pass clears one level, so the sum (3.0 a
+# copy) lives only in the remainder that the final fsum adds.
+WIDE_SPAN = [m * 2.0 ** k for k in range(980, -1001, -180) for m in (1.5, -1.5)]
+WIDE_SPAN += [2.0 ** -1000, 3.0]
+
+
+class TestClusterSums:
+    """``_cluster_sums`` against ``math.fsum`` over each cluster, compared as hex."""
+
+    @given(st.lists(st.tuples(SUMMANDS, st.booleans()), max_size=40), st.booleans())
+    @example([(0.0, False), (-0.0, True), (0.0, True)], False)
+    @example([(-0.0, False)] * 5, False)
+    @example([(1.5, False), (-2.5, False), (1e-300, False)], False)
+    @example([(MAX, True), (MAX, True), (-MAX, True)], False)
+    @example([(MAX / 4, False), (1.0, True)], False)
+    @example([(value, False) for value in WIDE_SPAN], False)
+    def test_matches_fsum_on_both_paths(self, pairs, small_path):
+        values = np.array([value for value, _ in pairs], dtype=np.float64)
+        mask = np.array([bit for _, bit in pairs], dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "SUM_CROSSOVER", len(pairs) + 1 if small_path else 0)
+            assert cluster_sum_bits(values, mask) == fsum_bits(values, mask)
+
+    @given(
+        st.lists(SUMMANDS, min_size=1, max_size=12),
+        st.integers(1024, 3000),
+        st.integers(0, 2),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fsum_at_and_above_the_crossover(self, pattern, n, sides, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.permutation(np.resize(np.array(pattern, dtype=np.float64), n))
+        mask = (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.5)[sides]
+        assert cluster_sum_bits(values, mask) == fsum_bits(values, mask)
+
+    def test_wide_span_reaches_the_final_fsum(self):
+        values = np.resize(np.array(WIDE_SPAN), 2 * clustering.SUM_CROSSOVER)
+        mask = np.arange(values.size) // 2 % 3 == 0  # keeps each pair in one cluster
+        assert cluster_sum_bits(values, mask) == fsum_bits(values, mask)
+        assert cluster_sum_bits(np.zeros(values.size), mask) == ("0x0.0p+0", "0x0.0p+0")
+        assert cluster_sum_bits(-np.zeros(values.size), mask) == ("0x0.0p+0", "0x0.0p+0")
+
+    def test_kernel_matches_the_oracle_on_the_extraction_path(self):
+        rng = np.random.default_rng(11)
+        n = 2 * clustering.SUM_CROSSOVER
+        pts = rng.normal(0, 4, size=(n, 2)) + np.where(rng.random((n, 1)) < 0.5, 9.0, -9.0)
+        chromosomes = [rng.integers(0, 2, n, dtype=np.uint8) for _ in range(3)]
+        chromosomes.append((pts[:, 0] > 0).astype(np.uint8))
+        one_point = np.zeros(n, dtype=np.uint8)
+        one_point[int(rng.integers(n))] = 1
+        chromosomes += [one_point, 1 - one_point]
+        for genes in chromosomes:
+            lib = chromosome_fitness(pts, Chromosome(genes)).total
+            assert lib.hex() == python_fitness(pts.tolist(), genes.tolist()).hex()
+
+
 class TestKmeans:
     def test_fixed_point_converges_in_one_iteration(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -213,3 +292,15 @@ class TestKmeans:
             assert res.iterations == iterations
             assert res.objective_trace == objective
             assert res.distance_trace == distance
+
+    def test_matches_the_oracle_on_the_extraction_path(self, monkeypatch):
+        monkeypatch.setattr(clustering, "SUM_CROSSOVER", 0)
+        rng = np.random.default_rng(32)
+        for seed in range(20):
+            n = int(rng.integers(2, 80))
+            pts = rng.normal(0, 5, size=(n, 2))
+            start = np.random.default_rng(seed).choice(n, size=2, replace=False).tolist()
+            genes, iterations, objective, distance = python_two_means(pts.tolist(), start)
+            res = kmeans(pts, seed)
+            assert (res.genes.tolist(), res.iterations) == (genes, iterations)
+            assert (res.objective_trace, res.distance_trace) == (objective, distance)

@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -446,12 +447,17 @@ class TestCli:
             ["pca", "--output", "rows.csv"],
             ["kmeans", "--output", "{tmp}/link.csv"],
             ["evaluate", "--assignment", "{tmp}/a.txt", "--output", "{tmp}/a.txt"],
+            # a hard link has its own real path but is the same file
+            ["hga", "--population-size", "4", "--max-generations", "3",
+             "--trace-file", "{tmp}/hard.csv", "--output", "{tmp}/o.json"],
+            ["evaluate", "--assignment", "{tmp}/a.txt", "--output", "{tmp}/hard.txt"],
         ],
         ids=[
             "experiment-output", "experiment-scatter", "hga-trace", "pca-output", "kmeans-dir",
             "hga-trace-input", "experiment-trace-input", "experiment-output-input",
             "scatter-output", "trace-output", "pca-relative-input", "kmeans-symlink-input",
-            "evaluate-output-assignment",
+            "evaluate-output-assignment", "hga-trace-hardlink-input",
+            "evaluate-output-hardlink-assignment",
         ],
     )
     def test_bad_output_path_fails_before_the_run(self, argv, tmp_path, monkeypatch, capsys):
@@ -459,6 +465,8 @@ class TestCli:
         csv_path.write_text(f"{ROW_A}\n{ROW_B}\n{ROW_A}\n")
         (tmp_path / "a.txt").write_text("010")
         (tmp_path / "link.csv").symlink_to(csv_path)
+        os.link(csv_path, tmp_path / "hard.csv")
+        os.link(tmp_path / "a.txt", tmp_path / "hard.txt")
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         calls = []
         for module in (experiment, cli):

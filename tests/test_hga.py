@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hgaclust import hga
+from hgaclust import clustering, hga
 from hgaclust.clustering import Chromosome, chromosome_fitness
 from hgaclust.errors import ContractError
 from hgaclust.hga import (
@@ -458,7 +458,7 @@ class TestRunHgaFrozen:
     """Whole runs frozen bit for bit: best fitness, genes, length, stop and trace.
 
     The path has no PCA and no BLAS call, only elementwise IEEE arithmetic
-    and ``math.fsum``, so the bits hold on every platform.
+    and correctly rounded sums, so the bits hold on every platform.
     """
 
     POINTS = np.random.default_rng(1).normal(size=(40, 2))
@@ -533,3 +533,9 @@ class TestRunHgaFrozen:
             result.terminated_by,
             hashlib.sha256(trace.encode()).hexdigest(),
         ) == self.FROZEN[flags, seed]
+
+    @pytest.mark.parametrize("flags, seed", list(FROZEN), ids=[f"{f}-{s}" for f, s in FROZEN])
+    def test_extraction_path_matches_frozen_signature(self, flags, seed, monkeypatch):
+        # 40 points sum by fsum; with no crossover every sum takes the extraction path
+        monkeypatch.setattr(clustering, "SUM_CROSSOVER", 0)
+        self.test_run_matches_frozen_signature(flags, seed)
