@@ -12,10 +12,11 @@ turns two such arrays into one reassignment pass. The GA's improvement
 step runs it once on its own evaluation's distances; the k-means baseline
 repeats it until no point moves. Evaluating a chromosome does not modify it.
 
-Centroid and fitness sums are correctly rounded, with the same bits as
-math.fsum, so fitness values do not depend on evaluation order and can be
-compared exactly against an independently coded oracle. Arrays of at least
-SUM_CROSSOVER values are summed by error-free extraction instead of fsum.
+Sums are correctly rounded, with math.fsum's bits, so fitness values do not
+depend on evaluation order and match an independently coded oracle exactly.
+The coordinates are split into exact pieces once per run (:class:`SplitPoints`),
+so both centroids' partials are one exact mat-vec; distance sums use the same
+extraction from SUM_CROSSOVER values on, and fsum below.
 """
 
 from __future__ import annotations
@@ -67,48 +68,73 @@ class FitnessBreakdown:
     d_high: np.ndarray | None
 
 
-def as_points(points: ProjectedDataset | np.ndarray) -> np.ndarray:
-    if isinstance(points, ProjectedDataset):
-        return points.points
-    return np.asarray(points, dtype=np.float64)
+def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Rows ``q`` and a remainder ``r`` that add up to ``values`` exactly.
+
+    Each pass splits ``r`` into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump, Ogita
+    and Oishi 2008). With ``sigma`` a power of two above (n + 1) * max|r|, every partial
+    sum of a row is exact, in any order. A non-finite value or a sigma past 2**1023
+    stops the first pass, so fsum sees ``values`` and overflows or gives NaN as over them.
+    """
+    rows, r = [], values
+    for _ in range(EXTRACTION_PASSES):
+        top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
+        scale = math.frexp(top)[1] + (values.size + 1).bit_length()
+        if top == 0.0 or not math.isfinite(top) or scale > 1023:
+            break
+        q = r + math.ldexp(1.0, scale)
+        q -= math.ldexp(1.0, scale)
+        r = r - q
+        rows.append(q)
+    return rows, r
+
+
+def _side_sums(low: list, high: list, rest: np.ndarray | None, genes: np.ndarray):
+    """fsum of each cluster's exact partials plus its entries of the remainder ``rest``."""
+    if rest is None:
+        return math.fsum(low), math.fsum(high)
+    return math.fsum(low + rest[genes == 0].tolist()), math.fsum(high + rest[genes == 1].tolist())
+
+
+class SplitPoints:
+    """Points whose two coordinate axes are split by :func:`_extract` once per run.
+
+    ``pieces`` stacks x's ``rows[0]`` rows, y's rows and a row of ones: ``pieces @
+    genes`` is the high cluster's exact partials and size, ``totals`` minus it the
+    low cluster's. ``rest`` is each axis's remainder, None if zero (the usual case).
+    """
+
+    def __init__(self, xy: np.ndarray) -> None:
+        (x_rows, x_rest), (y_rows, y_rest) = _extract(xy[:, 0]), _extract(xy[:, 1])
+        self.xy, self.rows = xy, (len(x_rows), len(y_rows))
+        self.pieces = np.array([*x_rows, *y_rows, np.ones(xy.shape[0])])
+        self.totals = self.pieces.sum(axis=1)
+        self.rest = [r if r.any() else None for r in (x_rest, y_rest)]
+
+    def centroids(self, genes: np.ndarray) -> list[tuple[float, float] | None]:
+        """Mean of cluster 0 and of cluster 1 under ``genes``; None if empty."""
+        high = self.pieces @ genes
+        low, high, k = (self.totals - high).tolist(), high.tolist(), self.rows[0]
+        x = _side_sums(low[:k], high[:k], self.rest[0], genes)
+        y = _side_sums(low[k:-1], high[k:-1], self.rest[1], genes)
+        return [(sx / n, sy / n) if n else None for sx, sy, n in zip(x, y, (low[-1], high[-1]))]
+
+
+def as_points(points: SplitPoints | ProjectedDataset | np.ndarray) -> SplitPoints:
+    """The points split once: a SplitPoints passes through, anything else is split here."""
+    if isinstance(points, SplitPoints):
+        return points
+    xy = points.points if isinstance(points, ProjectedDataset) else points
+    return SplitPoints(np.asarray(xy, dtype=np.float64))
 
 
 def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """``math.fsum`` of ``values[~mask]`` and of ``values[mask]``, bit for bit.
-
-    From SUM_CROSSOVER values on, each pass splits the remainder ``r`` exactly
-    into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump, Ogita and Oishi 2008).
-    With ``sigma`` a power of two above (n + 1) * max|r|, every partial sum of
-    ``q`` fits in 53 bits on one grid below sigma, so bincount sums it exactly
-    in any order; fsum rounds those partials plus any remainder left.
-    """
+    """fsum's bits for ``values[~mask]`` and ``values[mask]``; extraction from SUM_CROSSOVER on."""
     if values.size < SUM_CROSSOVER:
         return math.fsum(values[~mask].tolist()), math.fsum(values[mask].tolist())
-    parts: tuple[list[float], list[float]] = ([], [])
-    r = values
-    for _ in range(EXTRACTION_PASSES):
-        top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
-        if top == 0.0:
-            return math.fsum(parts[0]), math.fsum(parts[1])
-        scale = math.frexp(top)[1] + (values.size + 1).bit_length()
-        if not math.isfinite(top) or scale > 1023:
-            break
-        sigma = math.ldexp(1.0, scale)
-        q = r + sigma
-        q -= sigma
-        r = r - q
-        for part, total in zip(parts, np.bincount(mask, weights=q, minlength=2).tolist()):
-            part.append(total)
-    left = r != 0  # the passes ran out, or sigma would not be finite
-    low, high = (math.fsum(p + r[left & m].tolist()) for p, m in zip(parts, (~mask, mask)))
-    return low, high
-
-
-def _centroids(xy: np.ndarray, mask: np.ndarray) -> list[tuple[float, float] | None]:
-    """Mean of cluster 0 (``~mask``) and of cluster 1 (``mask``); None if empty."""
-    high = int(np.count_nonzero(mask))
-    sums = zip(_cluster_sums(xy[:, 0], mask), _cluster_sums(xy[:, 1], mask))
-    return [(x / k, y / k) if k else None for (x, y), k in zip(sums, (mask.size - high, high))]
+    rows, r = _extract(values)
+    parts = np.array([np.bincount(mask, weights=q, minlength=2) for q in rows]).reshape(-1, 2)
+    return _side_sums(*parts.T.tolist(), r if r.any() else None, mask)
 
 
 def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
@@ -121,20 +147,19 @@ def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
 
 
 def chromosome_fitness(
-    points: ProjectedDataset | np.ndarray, chrom: Chromosome
+    points: SplitPoints | ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
     """Both centroids, every point's distance to each, and their total.
 
     The total sums each point's distance to its own cluster's centroid;
     it is +inf if either cluster is empty. The chromosome is not modified.
     """
-    xy = as_points(points)
+    split = as_points(points)
+    xy = split.xy
     if chrom.genes.size != xy.shape[0]:
-        raise ContractError(
-            f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}"
-        )
+        raise ContractError(f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}")
     mask = chrom.genes == 1
-    low, high = _centroids(xy, mask)
+    low, high = split.centroids(chrom.genes)
     if low is None or high is None:
         return FitnessBreakdown(math.inf, low, high, None, None)
     d_low, d_high = _distances(xy, low), _distances(xy, high)
@@ -165,7 +190,7 @@ class Assignment:
     distance_trace: list[float]
 
 
-def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
+def kmeans(points: SplitPoints | ProjectedDataset | np.ndarray, seed: int) -> Assignment:
     """Seeded 2-means: :func:`nearest` repeated until no point moves.
 
     The starting centroids are two distinct data points drawn with
@@ -173,16 +198,16 @@ def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
     a point equidistant from both starts joins cluster 0, and it always
     counts as an iteration. A cluster left empty keeps its centroid.
     """
-    xy = as_points(points)
-    n = xy.shape[0]
+    split = as_points(points)
+    n = split.xy.shape[0]
     if n < 2:
         raise ContractError(f"2 clusters infeasible for {n} points")
-    centroids = xy[np.random.default_rng(seed).choice(n, size=2, replace=False)].tolist()
+    centroids = split.xy[np.random.default_rng(seed).choice(n, size=2, replace=False)].tolist()
     genes = np.zeros(n, dtype=np.uint8)
     objective_trace: list[float] = []
     distance_trace: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        d_low, d_high = _distances(xy, centroids[0]), _distances(xy, centroids[1])
+        d_low, d_high = _distances(split.xy, centroids[0]), _distances(split.xy, centroids[1])
         new_genes = nearest(d_low, d_high, genes)
         if distance_trace and np.array_equal(new_genes, genes):
             break
@@ -190,7 +215,7 @@ def kmeans(points: ProjectedDataset | np.ndarray, seed: int) -> Assignment:
         assigned = np.minimum(d_low, d_high)
         objective_trace.append(math.fsum((assigned * assigned).tolist()))
         distance_trace.append(math.fsum(assigned.tolist()))
-        for j, centroid in enumerate(_centroids(xy, genes == 1)):
+        for j, centroid in enumerate(split.centroids(genes)):
             if centroid is not None:
                 centroids[j] = centroid
     return Assignment(genes, len(distance_trace), objective_trace, distance_trace)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clustering import Chromosome, as_points, chromosome_fitness, nearest
+from .clustering import Chromosome, SplitPoints, as_points, chromosome_fitness, nearest
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
@@ -88,20 +88,20 @@ def init_population(
     flipped: a one-versus-rest split, which has two non-empty clusters.
     This draws nothing from ``rng``.
     """
-    xy = as_points(points)
-    n = xy.shape[0]
+    split = as_points(points)
+    n = split.xy.shape[0]
     if n < 2:
         raise ContractError("need at least 2 points")
     improve = config.improve_initial_population
     chromosomes = [
-        _scored(xy, Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8)), improve, memo)
+        _scored(split, Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8)), improve, memo)
         for _ in range(config.population_size)
     ]
     fitness = np.array([c.cached_fitness for c in chromosomes])
     if np.isinf(fitness).all():
         genes = chromosomes[0].genes.copy()
         genes[0] ^= 1
-        chromosomes[0] = _scored(xy, Chromosome(genes), False, memo)
+        chromosomes[0] = _scored(split, Chromosome(genes), False, memo)
         fitness[0] = chromosomes[0].cached_fitness
     return Population(chromosomes, fitness)
 
@@ -184,8 +184,8 @@ def deterministic_improvement(
     """
     if memo is None:
         memo = {}
-    xy = as_points(points)
-    base = chromosome_fitness(xy, chrom)
+    split = as_points(points)
+    base = chromosome_fitness(split, chrom)
     chrom.cached_fitness = base.total
     if base.d_low is None:
         return chrom
@@ -195,7 +195,7 @@ def deterministic_improvement(
     key = np.packbits(new_genes).tobytes()
     total = memo.get(key)
     if total is None:
-        total = chromosome_fitness(xy, Chromosome(new_genes)).total
+        total = chromosome_fitness(split, Chromosome(new_genes)).total
         if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) <= MEMO_BUDGET_BYTES:
             memo[key] = total
     if total <= base.total:
@@ -204,12 +204,12 @@ def deterministic_improvement(
 
 
 def _scored(
-    xy: np.ndarray, chrom: Chromosome, improve: bool, memo: dict[bytes, float] | None
+    split: SplitPoints, chrom: Chromosome, improve: bool, memo: dict[bytes, float] | None
 ) -> Chromosome:
     """``chrom`` improved with ``memo``, or ``chrom`` itself evaluated; either way scored."""
     if improve:
-        return deterministic_improvement(xy, chrom, memo)
-    chrom.cached_fitness = chromosome_fitness(xy, chrom).total
+        return deterministic_improvement(split, chrom, memo)
+    chrom.cached_fitness = chromosome_fitness(split, chrom).total
     return chrom
 
 
@@ -227,10 +227,10 @@ def steady_state_replace(pop: Population, offspring: Chromosome) -> bool:
 
 def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> HgaResult:
     """Run the full loop; deterministic given (points, config)."""
-    xy = as_points(points)
+    split = as_points(points)
     rng = np.random.default_rng(config.seed)
     memo: dict[bytes, float] = {}
-    pop = init_population(xy, config, rng, memo)
+    pop = init_population(split, config, rng, memo)
 
     window = config.doldrum_factor * config.population_size
     doldrum = 0
@@ -246,7 +246,7 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
         for child in offspring:
             if config.mutation_enabled:
                 child = two_point_mutation(child, rng)
-            steady_state_replace(pop, _scored(xy, child, config.improvement_enabled, memo))
+            steady_state_replace(pop, _scored(split, child, config.improvement_enabled, memo))
 
         new_min = pop.min_fitness
         if new_min < current_min:

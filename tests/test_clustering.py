@@ -232,6 +232,127 @@ class TestClusterSums:
             assert lib.hex() == python_fitness(pts.tolist(), genes.tolist()).hex()
 
 
+def fsum_centroids(xy, genes):
+    """Each cluster's mean by fsum over its own values, x before y as the kernel sums them."""
+    try:
+        x, y = ([math.fsum(xy[genes == side, axis].tolist()) for side in (0, 1)] for axis in (0, 1))
+    except (OverflowError, ValueError) as exc:  # an intermediate overflow, or inf - inf
+        return repr(exc)
+    counts = [int(np.count_nonzero(genes == side)) for side in (0, 1)]
+    return [((sx / k).hex(), (sy / k).hex()) if k else None for sx, sy, k in zip(x, y, counts)]
+
+
+def split_centroids(xy, genes):
+    try:
+        centroids = clustering.SplitPoints(xy).centroids(genes)
+    except (OverflowError, ValueError) as exc:
+        return repr(exc)
+    return [None if c is None else (c[0].hex(), c[1].hex()) for c in centroids]
+
+
+class TestSplitPoints:
+    """Centroids read off the once-per-run split against fsum over each cluster, as hex."""
+
+    @given(st.lists(st.tuples(SUMMANDS, SUMMANDS, st.integers(0, 1)), min_size=1, max_size=40))
+    @example([(0.0, -0.0, 0), (-0.0, -0.0, 1), (-0.0, 0.0, 0)])
+    @example([(5e-324, 1e300, 0), (-MAX / 4, 1.0, 1), (1e-300, -5e-324, 1)])
+    @example([(3.0, 4.0, 1)] + [(float(i), -float(i), 0) for i in range(6)])
+    @example([(1.0, 2.0, 0), (3.0, 4.0, 0)])
+    @example([(value, -value, i % 2) for i, value in enumerate(WIDE_SPAN)])
+    def test_matches_fsum_below_the_crossover(self, rows):
+        xy = np.array([(x, y) for x, y, _ in rows], dtype=np.float64)
+        genes = np.array([side for *_, side in rows], dtype=np.uint8)
+        assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
+
+    @given(
+        st.lists(st.tuples(SUMMANDS, SUMMANDS), min_size=1, max_size=12),
+        st.integers(clustering.SUM_CROSSOVER, 3000),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fsum_at_and_above_the_crossover(self, pattern, n, sides, seed):
+        rng = np.random.default_rng(seed)
+        xy = rng.permutation(np.resize(np.array(pattern, dtype=np.float64), (n, 2)))
+        one_point = (np.arange(n) == rng.integers(n)).astype(np.uint8)
+        genes = (np.zeros(n), np.ones(n), rng.random(n) < 0.5, one_point)[sides].astype(np.uint8)
+        assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
+
+    def test_wide_span_leaves_a_remainder(self):
+        xy = np.resize(np.array(WIDE_SPAN), (2 * clustering.SUM_CROSSOVER, 2))
+        split = clustering.SplitPoints(xy)
+        assert split.rest[0] is not None and split.rest[1] is not None
+        genes = (np.arange(xy.shape[0]) % 3 == 0).astype(np.uint8)
+        assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
+
+    def test_fixture_needs_no_remainder(self, prepared):
+        *_, projected = prepared
+        split = clustering.as_points(projected)
+        assert split.rest == [None, None]
+        assert split.pieces.shape == (sum(split.rows) + 1, projected.n_points)
+        assert split.totals[-1] == projected.n_points
+
+    AXES = {
+        "plain": [1.0, -2.0, 0.5],
+        "inf": [math.inf, 1.0, 2.0],
+        "nan": [math.nan, 1.0, 3.0],
+        "overflow": [MAX, MAX, -MAX],
+        "inf-minus-inf": [math.inf, -math.inf, 1.0],
+    }
+
+    @pytest.mark.parametrize("x", list(AXES))
+    @pytest.mark.parametrize("y", list(AXES))
+    @pytest.mark.parametrize("genes", [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    def test_specials_give_fsum_result_or_error(self, x, y, genes):
+        # with both axes raising, x's error comes first, as in per-axis sums
+        xy = np.array([self.AXES[x], self.AXES[y]]).T.copy()
+        genes = np.array(genes, dtype=np.uint8)
+        assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
+
+
+class TestSplitSeam:
+    def test_each_run_splits_the_points_once(self, monkeypatch):
+        import hgaclust.hga as hga
+
+        builds = []
+        build = clustering.SplitPoints.__init__
+        monkeypatch.setattr(
+            clustering.SplitPoints, "__init__", lambda self, xy: builds.append(1) or build(self, xy)
+        )
+        pts = np.random.default_rng(2).normal(size=(30, 2))
+        hga.run_hga(pts, hga.HgaConfig(population_size=8, max_generations=20, seed=1))
+        assert len(builds) == 1
+        kmeans(pts, 3)
+        assert len(builds) == 2
+        split = clustering.as_points(pts)
+        hga.run_hga(split, hga.HgaConfig(population_size=8, max_generations=20, seed=1))
+        kmeans(split, 3)
+        assert len(builds) == 3 and clustering.as_points(split) is split
+
+    def test_fitness_is_the_same_for_every_form_of_points(self, prepared):
+        *_, projected = prepared
+        split = clustering.as_points(projected)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            genes = Chromosome(rng.integers(0, 2, projected.n_points, dtype=np.uint8))
+            totals = {
+                chromosome_fitness(form, genes).total.hex()
+                for form in (projected.points, projected, split)
+            }
+            assert len(totals) == 1
+
+    def test_improvement_on_an_ndarray_evaluates_base_and_new_candidate(self, monkeypatch):
+        import hgaclust.hga as hga
+
+        calls = []
+        monkeypatch.setattr(
+            hga, "chromosome_fitness", lambda *a: calls.append(type(a[0])) or chromosome_fitness(*a)
+        )
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [6.0, 5.0]])
+        improved = hga.deterministic_improvement(pts, chrom([0, 1, 1, 1]))
+        assert improved.genes_string() == "0011"
+        assert calls == [clustering.SplitPoints, clustering.SplitPoints]
+
+
 class TestKmeans:
     def test_fixed_point_converges_in_one_iteration(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])

@@ -112,6 +112,20 @@ def cli_runs(draw):
     return argv, "\n".join(lines) + "\n", traced, assignment, clash
 
 
+@st.composite
+def csv_bytes(draw):
+    """Arbitrary bytes, or 2-12 fixture lines with a few byte runs spliced in or cut out."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    header, *rows = FIXTURE_TEXT.encode().splitlines()
+    lines = [header] * draw(st.booleans()) + draw(st.lists(st.sampled_from(rows), min_size=2, max_size=12))
+    text = bytearray(draw(st.sampled_from([b"\n", b"\r\n"])).join(lines))
+    for _ in range(draw(st.integers(0, 4))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 3))
+        text[at:at + cut] = draw(st.binary(max_size=4) | st.sampled_from([b",", b"?", b"\n", b"nan"]))
+    return bytes(text)
+
+
 @pytest.fixture(scope="module")
 def small_report(heart_csv):
     return run_experiment(ExperimentConfig(input=heart_csv, **SMALL))
@@ -587,6 +601,39 @@ class TestCliFuzz:
                 assert len(out.read_text().splitlines()) == 2
             else:
                 _validate_report(json.loads(out.read_text()), argv[0])
+
+
+class TestCliBytesFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        content=csv_bytes(),
+        seed=st.integers(0, 20),
+        extra=st.lists(
+            st.sampled_from(["--no-standardize", "--impute", "--format", "--replicates"]),
+            unique=True,
+        ),
+        choice=st.integers(0, 2),
+    )
+    def test_experiment_exits_0_or_2_and_leaves_no_output_on_2(self, content, seed, extra, choice):
+        values = {"--impute": IMPUTE_STRATEGIES, "--format": REPORT_FORMATS, "--replicates": ("1", "2")}
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, out = Path(tmp, "in.csv"), Path(tmp, "out")
+            csv_path.write_bytes(content)
+            argv = ["experiment", "--input", str(csv_path), "--output", str(out), "--seed", str(seed),
+                    "--population-size", "4", "--max-generations", "6"]
+            for flag in extra:
+                argv += [flag] + ([values[flag][choice % len(values[flag])]] if flag in values else [])
+            with redirect_stderr(StringIO()) as err, redirect_stdout(StringIO()), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert code in (0, 2)
+            assert [str(w.message) for w in caught] == []
+            assert csv_path.read_bytes() == content
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and not out.exists()
+            else:
+                assert err.getvalue() == "" and out.stat().st_size > 0
 
 
 class TestConfigSingleSourced:

@@ -457,8 +457,9 @@ class TestRunHgaMemo:
 class TestRunHgaFrozen:
     """Whole runs frozen bit for bit: best fitness, genes, length, stop and trace.
 
-    The path has no PCA and no BLAS call, only elementwise IEEE arithmetic
-    and correctly rounded sums, so the bits hold on every platform.
+    The path has no PCA, only elementwise IEEE arithmetic, correctly
+    rounded sums and one mat-vec whose every partial sum is exact, so the
+    bits hold on every platform.
     """
 
     POINTS = np.random.default_rng(1).normal(size=(40, 2))
