@@ -142,8 +142,7 @@ def _trace_sink(path: str | None):
             raise
 
 
-def _cmd_pca(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_pca(args: argparse.Namespace, config: ExperimentConfig) -> None:
     _, _, labels, projected, _ = prepare_points(config)
     pc1, pc2 = projected.points.T.tolist()
     write_csv_table(args.output, {"pc1": pc1, "pc2": pc2, "target": labels.tolist()})
@@ -154,27 +153,21 @@ def _cmd_pca(args: argparse.Namespace) -> int:
         "output": args.output,
     }
     sys.stdout.writelines(render_report(summary))
-    return 0
 
 
-def _cmd_kmeans(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_kmeans(args: argparse.Namespace, config: ExperimentConfig) -> None:
     _, _, labels, projected, _ = prepare_points(config)
     _emit(args, {"seed": config.seed, **kmeans_block(projected, labels, config.seed)})
-    return 0
 
 
-def _cmd_hga(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_hga(args: argparse.Namespace, config: ExperimentConfig) -> None:
     _, _, labels, projected, _ = prepare_points(config)
     with _trace_sink(args.trace_file) as sink:
         block = hga_block(projected, labels, config, trace_sink=sink)
     _emit(args, {"seed": config.seed, **block})
-    return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_evaluate(args: argparse.Namespace, config: ExperimentConfig) -> None:
     _, _, labels, _, _ = prepare_points(config)
     try:
         text = Path(args.assignment).read_text(encoding="utf-8-sig").strip()
@@ -188,17 +181,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"assignment length {genes.size} does not match dataset size {labels.size}"
         )
     _emit(args, evaluate_assignment(genes, labels))
-    return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _cmd_experiment(args: argparse.Namespace, config: ExperimentConfig) -> None:
     with _trace_sink(args.trace_file) as sink:
         report = run_experiment(config, trace_sink=sink)
     if args.scatter:
         write_csv_table(args.scatter, report["scatter"])
     _emit(args, report)
-    return 0
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
@@ -237,13 +227,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_output_paths(args)
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args, _config_from_args(args))
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def main_entry() -> None:

@@ -10,7 +10,8 @@ The two-cluster geometry is written once: :func:`chromosome_fitness`
 returns every point's distance to both centroids, and :func:`nearest`
 turns two such arrays into one reassignment pass. The GA's improvement
 step runs it once on its own evaluation's distances; the k-means baseline
-repeats it until no point moves. Evaluating a chromosome does not modify it.
+repeats it until no point moves. Evaluating a chromosome does not modify it:
+``Chromosome.cached_fitness`` has one writer, the GA's improvement step.
 
 Sums are correctly rounded, with math.fsum's bits, so fitness values do not
 depend on evaluation order and match an independently coded oracle exactly.
@@ -59,11 +60,9 @@ class Chromosome:
 
 @dataclass(frozen=True, eq=False)
 class FitnessBreakdown:
-    """Total fitness, both centroids and all distances to each; None for an empty cluster."""
+    """Total fitness and all distances to each centroid; None for an empty cluster."""
 
     total: float
-    low_centroid: tuple[float, float] | None
-    high_centroid: tuple[float, float] | None
     d_low: np.ndarray | None
     d_high: np.ndarray | None
 
@@ -149,7 +148,7 @@ def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
 def chromosome_fitness(
     points: SplitPoints | ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
-    """Both centroids, every point's distance to each, and their total.
+    """Every point's distance to both centroids, and their total.
 
     The total sums each point's distance to its own cluster's centroid;
     it is +inf if either cluster is empty. The chromosome is not modified.
@@ -161,10 +160,10 @@ def chromosome_fitness(
     mask = chrom.genes == 1
     low, high = split.centroids(chrom.genes)
     if low is None or high is None:
-        return FitnessBreakdown(math.inf, low, high, None, None)
+        return FitnessBreakdown(math.inf, None, None)
     d_low, d_high = _distances(xy, low), _distances(xy, high)
     low_total, high_total = _cluster_sums(np.where(mask, d_high, d_low), mask)
-    return FitnessBreakdown(low_total + high_total, low, high, d_low, d_high)
+    return FitnessBreakdown(low_total + high_total, d_low, d_high)
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .clustering import Chromosome, chromosome_fitness, kmeans
+from .clustering import Chromosome, as_points, chromosome_fitness, kmeans
 from .dataset import impute_missing, load_heart_csv, split_features_target, standardize
 from .errors import HgaClustError, InputError
 from .evaluation import align_clusters_to_labels, confusion_matrix, metrics
@@ -93,11 +93,12 @@ def evaluate_assignment(genes: np.ndarray, labels: np.ndarray) -> dict:
     }
 
 
-def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
-    """The report's ``kmeans`` block: the seeded two-cluster baseline."""
-    baseline = kmeans(projected, seed)
+def kmeans_block(points, labels: np.ndarray, seed: int) -> dict:
+    """The report's ``kmeans`` block: the seeded two-cluster baseline and its score."""
+    split = as_points(points)
+    baseline = kmeans(split, seed)
     chrom = Chromosome(baseline.genes)
-    fitness = chromosome_fitness(projected, chrom).total
+    fitness = chromosome_fitness(split, chrom).total
     if not math.isfinite(fitness):
         raise InputError("the projected points cannot be split into two non-empty clusters")
     return {
@@ -110,9 +111,9 @@ def kmeans_block(projected, labels: np.ndarray, seed: int) -> dict:
     }
 
 
-def hga_block(projected, labels: np.ndarray, config: HgaConfig, trace_sink=None) -> dict:
+def hga_block(points, labels: np.ndarray, config: HgaConfig, trace_sink=None) -> dict:
     """The report's ``hga`` block: one hybrid GA run under ``config``."""
-    result = run_hga(projected, config, trace_sink=trace_sink)
+    result = run_hga(points, config, trace_sink=trace_sink)
     if not math.isfinite(result.best_fitness):
         raise InputError(
             f"no chromosome with two non-empty clusters after {result.generations_run} "
@@ -128,14 +129,14 @@ def hga_block(projected, labels: np.ndarray, config: HgaConfig, trace_sink=None)
     }
 
 
-def _run_single(config: ExperimentConfig, seed: int, prepared, trace_sink=None) -> dict:
-    """One seed's pass over the prepared points; returns the per-seed report body."""
+def _run_single(config: ExperimentConfig, seed: int, prepared, split, trace_sink=None) -> dict:
+    """One seed's pass over the prepared points and their split; returns the report body."""
     data, features, labels, projected, prepare_timings = prepared
     timings = dict(prepare_timings)
     with _stage("kmeans", timings):
-        kmeans_report = kmeans_block(projected, labels, seed)
+        kmeans_report = kmeans_block(split, labels, seed)
     with _stage("hga", timings):
-        hga_report = hga_block(projected, labels, replace(config, seed=seed), trace_sink)
+        hga_report = hga_block(split, labels, replace(config, seed=seed), trace_sink)
 
     low_count = int((labels == 0).sum())
     # the scatter's prediction is the HGA assignment relabeled onto the classes
@@ -167,21 +168,22 @@ def _run_single(config: ExperimentConfig, seed: int, prepared, trace_sink=None) 
 def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
     """Full report for the base seed, plus per-seed rows when replicating.
 
-    Every seed shares one prepared set of points. ``trace_sink`` receives
-    (generation, min_fitness, max_fitness) for the base-seed run only.
+    Every seed shares the prepared points and one split of them. ``trace_sink``
+    receives (generation, min_fitness, max_fitness) for the base-seed run only.
     """
     t0 = time.perf_counter()
     prepared = prepare_points(config)
+    split = as_points(prepared[3])
     report = {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "config": asdict(config),
-        **_run_single(config, config.seed, prepared, trace_sink),
+        **_run_single(config, config.seed, prepared, split, trace_sink),
     }
     report["timings_s"]["total"] = time.perf_counter() - t0
 
     replicates = (
-        _run_single(config, config.seed + i, prepared) for i in range(1, config.replicates)
+        _run_single(config, config.seed + i, prepared, split) for i in range(1, config.replicates)
     )
     rows = [
         {

@@ -9,7 +9,9 @@ consecutive generations without a strict decrease of the population
 minimum fitness, or at the max_generations safety cap.
 
 All randomness flows from a single numpy PCG64 generator seeded with the
-run seed, so a run is a pure function of (points, config).
+run seed, so a run is a pure function of (points, config). The population
+holds each chromosome's fitness; only :func:`deterministic_improvement`
+writes ``Chromosome.cached_fitness``, to return its result's fitness.
 """
 
 from __future__ import annotations
@@ -93,16 +95,15 @@ def init_population(
     if n < 2:
         raise ContractError("need at least 2 points")
     improve = config.improve_initial_population
-    chromosomes = [
-        _scored(split, Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8)), improve, memo)
-        for _ in range(config.population_size)
-    ]
-    fitness = np.array([c.cached_fitness for c in chromosomes])
+    chromosomes, fitness = [], np.empty(config.population_size)
+    for i in range(config.population_size):
+        chrom = Chromosome(rng.integers(0, 2, size=n, dtype=np.uint8))
+        chrom, fitness[i] = _scored(split, chrom, improve, memo)
+        chromosomes.append(chrom)
     if np.isinf(fitness).all():
         genes = chromosomes[0].genes.copy()
         genes[0] ^= 1
-        chromosomes[0] = _scored(split, Chromosome(genes), False, memo)
-        fitness[0] = chromosomes[0].cached_fitness
+        chromosomes[0], fitness[0] = _scored(split, Chromosome(genes), False, memo)
     return Population(chromosomes, fitness)
 
 
@@ -205,22 +206,20 @@ def deterministic_improvement(
 
 def _scored(
     split: SplitPoints, chrom: Chromosome, improve: bool, memo: dict[bytes, float] | None
-) -> Chromosome:
-    """``chrom`` improved with ``memo``, or ``chrom`` itself evaluated; either way scored."""
+) -> tuple[Chromosome, float]:
+    """``chrom`` improved with ``memo``, or ``chrom`` itself, and its fitness."""
     if improve:
-        return deterministic_improvement(split, chrom, memo)
-    chrom.cached_fitness = chromosome_fitness(split, chrom).total
-    return chrom
+        chrom = deterministic_improvement(split, chrom, memo)
+        return chrom, chrom.cached_fitness
+    return chrom, chromosome_fitness(split, chrom).total
 
 
-def steady_state_replace(pop: Population, offspring: Chromosome) -> bool:
-    """Put the offspring in place of the worst (first maximal) one if strictly better."""
-    if offspring.cached_fitness is None:
-        raise ContractError("offspring fitness must be evaluated before replacement")
+def steady_state_replace(pop: Population, offspring: Chromosome, fitness: float) -> bool:
+    """Put the offspring in place of the worst (first maximal) one if its ``fitness`` is lower."""
     worst = int(np.argmax(pop.fitness))
-    if offspring.cached_fitness < pop.fitness[worst]:
+    if fitness < pop.fitness[worst]:
         pop.chromosomes[worst] = offspring
-        pop.fitness[worst] = offspring.cached_fitness
+        pop.fitness[worst] = fitness
         return True
     return False
 
@@ -246,7 +245,7 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
         for child in offspring:
             if config.mutation_enabled:
                 child = two_point_mutation(child, rng)
-            steady_state_replace(pop, _scored(split, child, config.improvement_enabled, memo))
+            steady_state_replace(pop, *_scored(split, child, config.improvement_enabled, memo))
 
         new_min = pop.min_fitness
         if new_min < current_min:

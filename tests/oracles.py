@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's numpy code paths: plain lists,
 math.sqrt, and math.fsum (correctly rounded, so sums do not depend on
-evaluation order and results can be compared exactly).
+evaluation order and results can be compared exactly). numpy appears
+only as the GA oracle's random generator, which must be the library's.
 """
 
 import math
+
+import numpy as np
 
 
 def python_fitness(points, genes):
@@ -115,3 +118,73 @@ def python_improvement(points, genes):
     if fitness <= base:
         return candidate, fitness
     return genes, base
+
+
+def python_run_hga(points, population_size, seed, doldrum_factor=2, max_generations=1_000_000,
+                   improvement_enabled=True, mutation_enabled=True,
+                   improve_initial_population=False):
+    """The steady-state hybrid GA, from scratch on lists of genes and fitness values.
+
+    Returns (best_fitness, best_genes, min_fitness_trace, terminated_by).
+    It makes the library's ``np.random.Generator`` calls in the library's
+    order: one ``integers(0, 2, size=n)`` per initial chromosome, two
+    draws per distinct pair (the parents, then each child's mutation) and
+    one cut ``integers(1, n)`` per crossover. If every initial chromosome
+    leaves a cluster empty, gene 0 of the first is flipped. A child takes
+    the place of the first worst chromosome only if its fitness is
+    strictly lower. The run stops after doldrum_factor * population_size
+    generations in a row without a strictly lower population minimum, or
+    at max_generations; the best is the first minimal chromosome.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(points)
+
+    def distinct_pair(size):
+        first = int(rng.integers(size))
+        second = int(rng.integers(size - 1))
+        if second >= first:
+            second += 1
+        return first, second
+
+    def scored(genes, improve):
+        if improve:
+            return python_improvement(points, genes)
+        return genes, python_fitness(points, genes)
+
+    population = [
+        scored(rng.integers(0, 2, size=n, dtype=np.uint8).tolist(), improve_initial_population)
+        for _ in range(population_size)
+    ]
+    if all(fitness == math.inf for _, fitness in population):
+        genes = list(population[0][0])
+        genes[0] ^= 1
+        population[0] = scored(genes, False)
+
+    current_min = min(fitness for _, fitness in population)
+    doldrum, trace, terminated_by = 0, [], "cap"
+    while len(trace) < max_generations:
+        first, second = distinct_pair(population_size)
+        p1, p2 = population[first][0], population[second][0]
+        cut = int(rng.integers(1, n))
+        for child in (p1[:cut] + p2[cut:], p2[:cut] + p1[cut:]):
+            if mutation_enabled:
+                for position in distinct_pair(n):
+                    child[position] ^= 1
+            child, fitness = scored(child, improvement_enabled)
+            values = [value for _, value in population]
+            worst = values.index(max(values))
+            if fitness < values[worst]:
+                population[worst] = (child, fitness)
+        new_min = min(fitness for _, fitness in population)
+        if new_min < current_min:
+            doldrum, current_min = 0, new_min
+        else:
+            doldrum += 1
+        trace.append(new_min)
+        if doldrum >= doldrum_factor * population_size:
+            terminated_by = "doldrum"
+            break
+
+    values = [value for _, value in population]
+    best = values.index(min(values))
+    return values[best], population[best][0], trace, terminated_by

@@ -35,18 +35,22 @@ class TestChromosome:
         assert breakdown == breakdown and breakdown != chromosome_fitness(np.eye(3, 2), a)
 
 
+def centroids(pts, bits):
+    return clustering.as_points(pts).centroids(chrom(bits).genes)
+
+
 class TestCentroid:
     def test_midpoint(self):
         pts = np.array([[0.0, 0.0], [0.0, 2.0]])
-        assert chromosome_fitness(pts, chrom([0, 0])).low_centroid == (0.0, 1.0)
+        assert centroids(pts, [0, 0])[0] == (0.0, 1.0)
 
     def test_singleton(self):
         pts = np.array([[7.0, -3.0], [1.0, 1.0]])
-        assert chromosome_fitness(pts, chrom([0, 1])).low_centroid == (7.0, -3.0)
+        assert centroids(pts, [0, 1])[0] == (7.0, -3.0)
 
     def test_empty_cluster_marker(self):
         pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert chromosome_fitness(pts, chrom([1, 1])).low_centroid is None
+        assert centroids(pts, [1, 1])[0] is None
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
@@ -92,14 +96,14 @@ class TestChromosomeFitness:
         # each cluster's term on its own: the pair plus a far singleton
         for pair, genes in ((pts[:2], [0, 0, 1]), (pts[2:], [1, 1, 0])):
             assert chromosome_fitness(np.vstack([pair, FAR]), chrom(genes)).total == 2.0
-        assert breakdown.low_centroid == (0.0, 1.0)
-        assert breakdown.high_centroid == (10.0, 1.0)
+        assert centroids(pts, [0, 0, 1, 1]) == [(0.0, 1.0), (10.0, 1.0)]
 
     def test_empty_cluster_is_infinite(self):
         pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
         breakdown = chromosome_fitness(pts, chrom([0, 0, 0]))
         assert breakdown.total == math.inf
-        assert breakdown.high_centroid is None
+        assert breakdown.d_low is None and breakdown.d_high is None
+        assert centroids(pts, [0, 0, 0])[1] is None
 
     def test_cache_set_and_exactly_reproducible(self):
         rng = np.random.default_rng(2)
@@ -310,14 +314,19 @@ class TestSplitPoints:
 
 
 class TestSplitSeam:
-    def test_each_run_splits_the_points_once(self, monkeypatch):
-        import hgaclust.hga as hga
-
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """One entry per SplitPoints built while the test runs."""
         builds = []
         build = clustering.SplitPoints.__init__
         monkeypatch.setattr(
             clustering.SplitPoints, "__init__", lambda self, xy: builds.append(1) or build(self, xy)
         )
+        return builds
+
+    def test_each_run_splits_the_points_once(self, builds):
+        import hgaclust.hga as hga
+
         pts = np.random.default_rng(2).normal(size=(30, 2))
         hga.run_hga(pts, hga.HgaConfig(population_size=8, max_generations=20, seed=1))
         assert len(builds) == 1
@@ -327,6 +336,17 @@ class TestSplitSeam:
         hga.run_hga(split, hga.HgaConfig(population_size=8, max_generations=20, seed=1))
         kmeans(split, 3)
         assert len(builds) == 3 and clustering.as_points(split) is split
+
+    def test_replicates_and_the_kmeans_command_share_one_split(self, builds, heart_csv, capsys):
+        from hgaclust import cli, experiment
+
+        config = experiment.ExperimentConfig(
+            input=heart_csv, population_size=8, max_generations=20, replicates=3
+        )
+        experiment.run_experiment(config)
+        assert len(builds) == 1  # not once per seed for k-means, its score and the GA
+        assert cli.main(["kmeans", "--input", heart_csv]) == 0
+        assert len(builds) == 2
 
     def test_fitness_is_the_same_for_every_form_of_points(self, prepared):
         *_, projected = prepared

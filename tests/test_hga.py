@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from hgaclust.hga import (
     two_point_mutation,
 )
 
-from oracles import brute_force_min_fitness, python_improvement
+from oracles import brute_force_min_fitness, python_improvement, python_run_hga
 
 TWO_PAIRS = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
 # a few exact values, so that ties and +inf (an empty cluster) come up often
@@ -55,7 +56,9 @@ class TestInitPopulation:
         rng = np.random.default_rng(3)
         pop = init_population(projected, HgaConfig(population_size=2500), rng)
         assert len(pop.chromosomes) == 2500
-        assert all(c.cached_fitness is not None for c in pop.chromosomes)
+        assert pop.fitness.shape == (2500,) and np.isfinite(pop.fitness).all()
+        # scoring leaves the chromosomes as they were
+        assert all(c.cached_fitness is None for c in pop.chromosomes)
 
     def test_all_one_sided_population_is_repaired(self):
         # seed 1 draws [1, 1] for both chromosomes: flipping gene 0 of the
@@ -213,11 +216,11 @@ class TestDeterministicImprovement:
             n = int(rng.integers(2, 25))
             pts = rng.normal(0, 5, size=(n, 2))
             c = Chromosome(rng.integers(0, 2, n, dtype=np.uint8))
-            breakdown = chromosome_fitness(pts, c)
-            if breakdown.low_centroid is None or breakdown.high_centroid is None:
+            low, high = clustering.as_points(pts).centroids(c.genes)
+            if low is None or high is None:
                 continue
             improved = deterministic_improvement(pts, c)
-            centroids = np.array([breakdown.low_centroid, breakdown.high_centroid])
+            centroids = np.array([low, high])
 
             def assigned_sum(genes):
                 d = np.sqrt(((pts - centroids[genes]) ** 2).sum(axis=1))
@@ -245,40 +248,36 @@ class TestDeterministicImprovement:
 
 class TestSteadyStateReplace:
     def _population(self, fitnesses):
-        chroms = [Chromosome(np.array([0, 1, 0], dtype=np.uint8), f) for f in fitnesses]
+        chroms = [Chromosome(np.array([0, 1, 0], dtype=np.uint8)) for _ in fitnesses]
         return Population(chroms, np.array(fitnesses, dtype=np.float64))
 
     def test_strict_improvement_replaces_worst(self):
         pop = self._population([5.0, 3.0, 4.0, 1.0])
-        offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8), 3.0)
-        assert steady_state_replace(pop, offspring)
+        offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8))
+        assert steady_state_replace(pop, offspring, 3.0)
         assert pop.max_fitness == 4.0
         assert pop.chromosomes[0] is offspring
+        assert offspring.cached_fitness is None  # the population holds the fitness
 
     def test_tie_leaves_population_unchanged(self):
         pop = self._population([5.0, 3.0])
-        offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8), 5.0)
-        assert not steady_state_replace(pop, offspring)
+        offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8))
+        assert not steady_state_replace(pop, offspring, 5.0)
         assert pop.fitness.tolist() == [5.0, 3.0]
 
     def test_two_offspring_evict_two_worst(self):
         pop = self._population([5.0, 3.0, 4.0, 1.0])
-        first = Chromosome(np.array([1, 0, 0], dtype=np.uint8), 2.0)
-        second = Chromosome(np.array([0, 0, 1], dtype=np.uint8), 3.5)
-        assert steady_state_replace(pop, first)
-        assert steady_state_replace(pop, second)  # compared against the updated max
+        first = Chromosome(np.array([1, 0, 0], dtype=np.uint8))
+        second = Chromosome(np.array([0, 0, 1], dtype=np.uint8))
+        assert steady_state_replace(pop, first, 2.0)
+        assert steady_state_replace(pop, second, 3.5)  # compared against the updated max
         assert sorted(pop.fitness.tolist()) == [1.0, 2.0, 3.0, 3.5]
 
     def test_lowest_index_replaced_on_shared_maximum(self):
         pop = self._population([4.0, 4.0, 1.0])
-        offspring = Chromosome(np.array([1, 0, 1], dtype=np.uint8), 0.5)
-        steady_state_replace(pop, offspring)
+        offspring = Chromosome(np.array([1, 0, 1], dtype=np.uint8))
+        steady_state_replace(pop, offspring, 0.5)
         assert pop.fitness.tolist() == [0.5, 4.0, 1.0]
-
-    def test_unevaluated_offspring_rejected(self):
-        pop = self._population([2.0, 1.0])
-        with pytest.raises(ContractError):
-            steady_state_replace(pop, Chromosome(np.array([0, 1, 0], dtype=np.uint8)))
 
     @settings(max_examples=200)
     @given(st.lists(FITNESS, min_size=2, max_size=8), st.lists(FITNESS, max_size=20))
@@ -287,12 +286,12 @@ class TestSteadyStateReplace:
         pop = self._population(initial)
         expected = list(initial)
         for value in stream:
-            offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8), value)
+            offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8))
             worst = expected.index(max(expected))
             accepted = value < expected[worst]
             if accepted:
                 expected[worst] = value
-            assert steady_state_replace(pop, offspring) == accepted
+            assert steady_state_replace(pop, offspring, value) == accepted
             assert pop.fitness.tolist() == expected
             assert (pop.chromosomes[worst] is offspring) == accepted
 
@@ -452,6 +451,46 @@ class TestRunHgaMemo:
         run_hga(projected, config)
         assert calls["improve"] > 0
         assert calls["fitness"] < config.population_size + 2 * calls["improve"]
+
+
+@st.composite
+def ga_cases(draw):
+    """Up to 40 points (a coarse grid for ties, or wide floats) and small GA knobs."""
+    n = draw(st.integers(2, 40))
+    coord = st.integers(-3, 3).map(lambda v: v / 2) | st.floats(-1e3, 1e3, allow_nan=False)
+    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    return points, {
+        "population_size": draw(st.integers(2, 12)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "doldrum_factor": draw(st.integers(1, 3)),
+        "max_generations": draw(st.integers(1, 300)),
+    }
+
+
+class TestRunHgaOracle:
+    """Whole runs against the list-based GA of tests/oracles.py, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "improvement, mutation, improve_initial", list(itertools.product((True, False), repeat=3))
+    )
+    @settings(max_examples=40)
+    @given(ga_cases())
+    # both initial chromosomes draw [1, 1], so the population is repaired
+    @example((TWO_PAIRS[:2], {"population_size": 2, "seed": 1, "doldrum_factor": 2,
+                              "max_generations": 50}))
+    def test_matches_the_python_oracle(self, improvement, mutation, improve_initial, case):
+        points, knobs = case
+        flags = {
+            "improvement_enabled": improvement,
+            "mutation_enabled": mutation,
+            "improve_initial_population": improve_initial,
+        }
+        result = run_hga(points, HgaConfig(**knobs, **flags))
+        fitness, genes, trace, terminated_by = python_run_hga(points.tolist(), **knobs, **flags)
+        assert result.best_fitness.hex() == fitness.hex()
+        assert result.best_chromosome.genes.tolist() == genes
+        assert [value.hex() for value in result.min_fitness_trace] == [v.hex() for v in trace]
+        assert (result.generations_run, result.terminated_by) == (len(trace), terminated_by)
 
 
 class TestRunHgaFrozen:
