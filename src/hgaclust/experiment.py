@@ -3,7 +3,8 @@
 The report is a plain dict matching ``report_schema.json`` (shipped next
 to this module). Reports are emitted with sorted keys, so two runs with
 identical flags and seed produce byte-identical JSON once timings are
-normalized. Replicate seeds are derived as base_seed + i.
+normalized. Replicate seeds are derived as base_seed + i, and each runs only
+the seed-dependent k-means baseline and HGA over one shared split of the points.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def prepare_points(config: ExperimentConfig):
     with _stage("pca", timings):
         eig = symmetric_eigendecomposition(covariance_matrix(features))
         projected = project(features, eig, k=2)
+        # n * (x span² + y span²) bounds every sum of squared distances
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = projected.n_points * float((np.ptp(projected.points, axis=0) ** 2).sum())
+        if not math.isfinite(bound):
+            raise InputError("squared distances of the projected points overflow float64")
     return data, features, labels, projected, timings
 
 
@@ -129,19 +135,34 @@ def hga_block(points, labels: np.ndarray, config: HgaConfig, trace_sink=None) ->
     }
 
 
-def _run_single(config: ExperimentConfig, seed: int, prepared, split, trace_sink=None) -> dict:
-    """One seed's pass over the prepared points and their split; returns the report body."""
-    data, features, labels, projected, prepare_timings = prepared
-    timings = dict(prepare_timings)
+def _run_seed(config: ExperimentConfig, seed: int, labels, split, trace_sink=None) -> dict:
+    """One seed's ``kmeans`` and ``hga`` blocks over the shared split, and their stage times."""
+    timings: dict[str, float] = {}
     with _stage("kmeans", timings):
         kmeans_report = kmeans_block(split, labels, seed)
     with _stage("hga", timings):
         hga_report = hga_block(split, labels, replace(config, seed=seed), trace_sink)
+    return {"kmeans": kmeans_report, "hga": hga_report, "timings_s": timings}
 
+
+def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
+    """Full report for the base seed, plus one :func:`_run_seed` row per seed when replicating.
+
+    ``trace_sink`` receives (generation, min_fitness, max_fitness) for the
+    base-seed run only.
+    """
+    t0 = time.perf_counter()
+    data, features, labels, projected, timings = prepare_points(config)
+    split = as_points(projected)
+    base = _run_seed(config, config.seed, labels, split, trace_sink)
+    timings.update(base.pop("timings_s"))
     low_count = int((labels == 0).sum())
     # the scatter's prediction is the HGA assignment relabeled onto the classes
-    flipped = hga_report["label_mapping"] == "flipped"
-    return {
+    flipped = base["hga"]["label_mapping"] == "flipped"
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "artifact_version": __version__,
+        "config": asdict(config),
         "dataset": {
             "n_rows": data.n_rows,
             "n_features": features.n_columns,
@@ -153,48 +174,29 @@ def _run_single(config: ExperimentConfig, seed: int, prepared, split, trace_sink
             "standardized": config.standardize,
             "explained_variance_ratio": list(projected.explained_variance_ratio),
         },
-        "kmeans": kmeans_report,
-        "hga": hga_report,
+        **base,
         "scatter": {
             "pc1": projected.points[:, 0].tolist(),
             "pc2": projected.points[:, 1].tolist(),
-            "predicted": [int(g) ^ flipped for g in hga_report["assignment"]],
+            "predicted": [int(g) ^ flipped for g in base["hga"]["assignment"]],
             "actual": [int(v) for v in labels],
         },
         "timings_s": timings,
     }
+    timings["total"] = time.perf_counter() - t0
 
-
-def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
-    """Full report for the base seed, plus per-seed rows when replicating.
-
-    Every seed shares the prepared points and one split of them. ``trace_sink``
-    receives (generation, min_fitness, max_fitness) for the base-seed run only.
-    """
-    t0 = time.perf_counter()
-    prepared = prepare_points(config)
-    split = as_points(prepared[3])
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "artifact_version": __version__,
-        "config": asdict(config),
-        **_run_single(config, config.seed, prepared, split, trace_sink),
-    }
-    report["timings_s"]["total"] = time.perf_counter() - t0
-
-    replicates = (
-        _run_single(config, config.seed + i, prepared, split) for i in range(1, config.replicates)
-    )
+    seeds = range(config.seed, config.seed + config.replicates)
+    bodies = chain([report], (_run_seed(config, seed, labels, split) for seed in seeds[1:]))
     rows = [
         {
-            "seed": config.seed + i,
+            "seed": seed,
             "hga_fitness": body["hga"]["best_fitness"],
             "hga_accuracy_pct": body["hga"]["metrics"]["accuracy_pct"],
             "kmeans_fitness": body["kmeans"]["fitness"],
             "kmeans_accuracy_pct": body["kmeans"]["metrics"]["accuracy_pct"],
             "generations_run": body["hga"]["generations_run"],
         }
-        for i, body in enumerate(chain([report], replicates))
+        for seed, body in zip(seeds, bodies)
     ]
     report["replicates"] = rows
     if config.replicates > 1:

@@ -46,6 +46,8 @@ class HgaConfig:
     def __post_init__(self) -> None:
         if self.population_size < 2:
             raise InputError("population_size must be at least 2")
+        if self.population_size > np.iinfo(np.intp).max // 8:  # numpy's float64 length limit
+            raise InputError(f"population_size {self.population_size} is too large for numpy")
         if self.doldrum_factor < 1 or self.max_generations < 1:
             raise InputError("doldrum_factor and max_generations must be positive")
         if self.seed < 0:

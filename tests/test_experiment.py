@@ -3,7 +3,7 @@ import os
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from io import StringIO
 from pathlib import Path
 
@@ -34,7 +34,11 @@ from hgaclust.experiment import (
 SMALL = dict(population_size=25, seed=11)
 ROW_A = "52,1,0,166,350,0,1,133,1,2.3,1,2,2,1"
 ROW_B = "48,0,3,145,298,0,0,134,0,0.2,2,0,2,0"
-BAD_GA_KNOBS = [["--population-size", "1"], ["--max-generations", "0"], ["--doldrum-factor", "0"]]
+BAD_GA_KNOBS = [
+    ["--population-size", "1"], ["--max-generations", "0"], ["--doldrum-factor", "0"],
+    # past numpy's largest dimension; refused before any array is shaped
+    ["--population-size", "100000000000000000000"], ["--population-size", str(2**64)],
+]
 FIXTURE_TEXT = (Path(__file__).parent / "data" / "synthetic_heart.csv").read_text()
 FUZZ_CELLS = ["?", "0", "-3", "1e150", "1e308", "x"]
 
@@ -42,6 +46,14 @@ FUZZ_CELLS = ["?", "0", "-3", "1e150", "1e308", "x"]
 def _chol_rows(first, second):
     """ROW_A and ROW_B with their cholesterol cells replaced, then ROW_A as is."""
     return f"{ROW_A.replace('350', first)}\n{ROW_B.replace('298', second)}\n{ROW_A}\n".encode()
+
+
+def _fixture_with_huge_cells() -> bytes:
+    """The fixture with row 1's chol and row 2's trestbps at 1e154."""
+    header, first, second, *rest = FIXTURE_TEXT.splitlines()
+    names, first, second = header.split(","), first.split(","), second.split(",")
+    first[names.index("chol")] = second[names.index("trestbps")] = "1.0e154"
+    return "\n".join([header, ",".join(first), ",".join(second), *rest, ""]).encode()
 
 
 def _validate_report(report: dict, command: str) -> None:
@@ -211,15 +223,25 @@ class TestRunExperiment:
         assert report["hga"]["best_fitness"] <= report["kmeans"]["fitness"]
 
     def test_replicates_and_summary(self, heart_csv):
-        report = run_experiment(
-            ExperimentConfig(input=heart_csv, population_size=25, seed=5, replicates=3)
-        )
+        config = ExperimentConfig(input=heart_csv, population_size=25, seed=5, replicates=3)
+        report = run_experiment(config)
         seeds = [row["seed"] for row in report["replicates"]]
         assert seeds == [5, 6, 7]
         summary = report["replicate_summary"]
         assert summary["median_hga_fitness"] <= summary["median_kmeans_fitness"] * 1.5
         assert 0.0 <= summary["hga_accuracy_at_least_kmeans_fraction"] <= 1.0
         jsonschema.validate(json.loads(json.dumps(report)), load_report_schema())
+        # a replicate seed runs k-means and the HGA exactly as a base seed does
+        for row in report["replicates"]:
+            single = run_experiment(replace(config, seed=row["seed"], replicates=1))
+            assert row == {
+                "seed": row["seed"],
+                "hga_fitness": single["hga"]["best_fitness"],
+                "hga_accuracy_pct": single["hga"]["metrics"]["accuracy_pct"],
+                "kmeans_fitness": single["kmeans"]["fitness"],
+                "kmeans_accuracy_pct": single["kmeans"]["metrics"]["accuracy_pct"],
+                "generations_run": single["hga"]["generations_run"],
+            }
 
 
 class TestEmission:
@@ -385,7 +407,8 @@ class TestCli:
         [[command, *knob] for command in ("experiment", "hga") for knob in BAD_GA_KNOBS]
         + [["experiment", "--replicates", "0"]]
         + [[command, "--seed", "-1"] for command in ("experiment", "kmeans", "hga")],
-        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:2]),
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:2])
+        + (f"-{len(argv[2])}-digits" if len(argv[2]) > 2 else ""),
     )
     def test_bad_knob_exit_code(self, argv, heart_csv, capsys):
         assert cli.main([*argv, "--input", heart_csv]) == 2
@@ -424,11 +447,20 @@ class TestCli:
             (["experiment", "--input", "{bad}"], _chol_rows("1e200", "2e200")),
             (["experiment", "--input", "{bad}", "--no-standardize"], _chol_rows("1e200", "2e200")),
             (["pca", "--input", "{bad}"], _chol_rows("1e200", "2e200")),
+            # finite covariance, but sums of squared distances between points overflow
+            (["kmeans", "--input", "{bad}", "--no-standardize"], _fixture_with_huge_cells()),
+            (["hga", "--input", "{bad}", "--no-standardize", "--population-size", "20"],
+             _fixture_with_huge_cells()),
+            (["experiment", "--input", "{bad}", "--no-standardize", "--population-size", "20"],
+             _fixture_with_huge_cells()),
+            (["hga", "--input", "{bad}", "--no-standardize", "--population-size", "4"],
+             _chol_rows("7e153", "-7e153")),
         ],
         ids=[
             "non-utf8-csv", "oversized-cell", "non-utf8-assignment",
             "overflow-mean", "overflow-mean-raw", "overflow-std", "overflow-cov-raw",
-            "overflow-std-pca",
+            "overflow-std-pca", "overflow-distance-kmeans", "overflow-distance-hga",
+            "overflow-distance", "overflow-distance-rows-hga",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
@@ -534,22 +566,29 @@ class TestCli:
         assert sum(int(v) for v in row.split(",")[:4]) == 303
 
     @pytest.mark.parametrize(
-        "argv, rows, expected",
+        "argv, rows, expected, best",
         [
             # identical rows project onto one point, so k-means leaves a cluster empty
-            (["experiment"], [ROW_A] * 20, 2),
-            (["kmeans"], [ROW_A] * 20, 2),
+            (["experiment"], [ROW_A] * 20, 2, None),
+            (["kmeans"], [ROW_A] * 20, 2, None),
             # two points, two chromosomes: seed 1 draws [1, 1] twice, which the
             # initial population repairs into the split [0, 1] of fitness 0
-            (["experiment", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0),
-            (["hga", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0),
+            (["experiment", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0, 0.0),
+            (["hga", "--population-size", "2", "--seed", "1"], [ROW_A, ROW_B], 0, 0.0),
             # unstandardized, a negative round-off eigenvalue once pushed a ratio past 1
             (["experiment", "--no-standardize", "--population-size", "2", "--seed", "1"],
-             [ROW_A, ROW_B], 0),
+             [ROW_A, ROW_B], 0, 0.0),
+            # points 1e150 either side of the third: squared distances stay finite,
+            # and the best split leaves one outer point alone
+            (["experiment", "--no-standardize", "--population-size", "4"],
+             _chol_rows("1e150", "-1e150").decode().splitlines(), 0, 1e150),
         ],
-        ids=["experiment-kmeans", "kmeans", "experiment-hga", "hga", "experiment-hga-raw"],
+        ids=[
+            "experiment-kmeans", "kmeans", "experiment-hga", "hga", "experiment-hga-raw",
+            "experiment-huge-raw",
+        ],
     )
-    def test_unsplit_points_exit_code(self, argv, rows, expected, tmp_path, capsys):
+    def test_unsplit_points_exit_code(self, argv, rows, expected, best, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         out = tmp_path / "report.json"
@@ -563,7 +602,7 @@ class TestCli:
         report = json.loads(out.read_text())
         _validate_report(report, argv[0])
         hga = report["hga"] if argv[0] == "experiment" else report
-        assert hga["best_fitness"] == 0.0
+        assert hga["best_fitness"] == best
 
 
 class TestCliFuzz:
