@@ -5,19 +5,24 @@ to this module). Reports are emitted with sorted keys, so two runs with
 identical flags and seed produce byte-identical JSON once timings are
 normalized. Replicate seeds are derived as base_seed + i, and each runs only
 the seed-dependent k-means baseline and HGA over one shared split of the points.
+The seeds run in strided shares, one per usable CPU: this process runs the
+base seed's share and a forked child each other share. Rows come back in
+seed order, so the report does not depend on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from statistics import median
 from typing import Iterator
 
 import numpy as np
@@ -25,7 +30,7 @@ import numpy as np
 from . import __version__
 from .clustering import Chromosome, as_points, chromosome_fitness, kmeans
 from .dataset import impute_missing, load_heart_csv, split_features_target, standardize
-from .errors import HgaClustError, InputError
+from .errors import ContractError, HgaClustError, InputError
 from .evaluation import align_clusters_to_labels, confusion_matrix, metrics
 from .hga import HgaConfig, run_hga
 from .pca import covariance_matrix, project, symmetric_eigendecomposition
@@ -145,6 +150,50 @@ def _run_seed(config: ExperimentConfig, seed: int, labels, split, trace_sink=Non
     return {"kmeans": kmeans_report, "hga": hga_report, "timings_s": timings}
 
 
+def _rows(bodies) -> tuple[list[dict], Exception | None]:
+    """Replicate rows of lazy (seed, body) pairs up to the first that raises; that error or None."""
+    rows = []
+    try:
+        for seed, body in bodies:
+            rows.append({
+                "seed": seed,
+                "hga_fitness": body["hga"]["best_fitness"],
+                "hga_accuracy_pct": body["hga"]["metrics"]["accuracy_pct"],
+                "kmeans_fitness": body["kmeans"]["fitness"],
+                "kmeans_accuracy_pct": body["kmeans"]["metrics"]["accuracy_pct"],
+                "generations_run": body["hga"]["generations_run"],
+            })
+    except Exception as exc:
+        return rows, exc
+    return rows, None
+
+
+def _fork_rows(bodies):
+    """(pid, pipe) of a child that pickles :func:`_rows` of ``bodies`` to the pipe. The child
+    leaves by ``os._exit``: it never returns into the caller nor flushes inherited buffers."""
+    read, write = os.pipe()
+    if pid := os.fork():
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)  # else a parent that died leaves this child blocked on a full pipe
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(_rows(bodies), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join_rows(seeds, pid: int, pipe) -> tuple[list[dict], Exception | None]:
+    """A forked share's rows and error; a child that ends without them is a ContractError."""
+    with pipe:
+        payload = pipe.read()  # to EOF first: a payload can outgrow the pipe's buffer
+    if os.waitpid(pid, 0)[1]:
+        return [], ContractError(f"the run of seeds {list(seeds)} ended without a result")
+    return pickle.loads(payload)
+
+
 def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
     """Full report for the base seed, plus one :func:`_run_seed` row per seed when replicating.
 
@@ -154,60 +203,66 @@ def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
     t0 = time.perf_counter()
     data, features, labels, projected, timings = prepare_points(config)
     split = as_points(projected)
-    base = _run_seed(config, config.seed, labels, split, trace_sink)
-    timings.update(base.pop("timings_s"))
-    low_count = int((labels == 0).sum())
-    # the scatter's prediction is the HGA assignment relabeled onto the classes
-    flipped = base["hga"]["label_mapping"] == "flipped"
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "artifact_version": __version__,
-        "config": asdict(config),
-        "dataset": {
-            "n_rows": data.n_rows,
-            "n_features": features.n_columns,
-            "imputed_cell_count": len(data.imputed_cells),
-            "imputed_cells": [[row, col] for row, col in data.imputed_cells],
-            "label_counts": {"low_risk": low_count, "high_risk": int(labels.size - low_count)},
-        },
-        "pca": {
-            "standardized": config.standardize,
-            "explained_variance_ratio": list(projected.explained_variance_ratio),
-        },
-        **base,
-        "scatter": {
-            "pc1": projected.points[:, 0].tolist(),
-            "pc2": projected.points[:, 1].tolist(),
-            "predicted": [int(g) ^ flipped for g in base["hga"]["assignment"]],
-            "actual": [int(v) for v in labels],
-        },
-        "timings_s": timings,
-    }
-    timings["total"] = time.perf_counter() - t0
-
     seeds = range(config.seed, config.seed + config.replicates)
-    bodies = chain([report], (_run_seed(config, seed, labels, split) for seed in seeds[1:]))
-    rows = [
-        {
-            "seed": seed,
-            "hga_fitness": body["hga"]["best_fitness"],
-            "hga_accuracy_pct": body["hga"]["metrics"]["accuracy_pct"],
-            "kmeans_fitness": body["kmeans"]["fitness"],
-            "kmeans_accuracy_pct": body["kmeans"]["metrics"]["accuracy_pct"],
-            "generations_run": body["hga"]["generations_run"],
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    width = min(cpus, len(seeds))
+    shares, children = [seeds[i::width] for i in range(width)], []
+    try:
+        for share in shares[1:]:
+            bodies = ((seed, _run_seed(config, seed, labels, split)) for seed in share)
+            children.append((share, *_fork_rows(bodies)))
+        base = _run_seed(config, config.seed, labels, split, trace_sink)
+        timings.update(base.pop("timings_s"))
+        low_count = int((labels == 0).sum())
+        # the scatter's prediction is the HGA assignment relabeled onto the classes
+        flipped = base["hga"]["label_mapping"] == "flipped"
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "artifact_version": __version__,
+            "config": asdict(config),
+            "dataset": {
+                "n_rows": data.n_rows,
+                "n_features": features.n_columns,
+                "imputed_cell_count": len(data.imputed_cells),
+                "imputed_cells": [[row, col] for row, col in data.imputed_cells],
+                "label_counts": {"low_risk": low_count, "high_risk": int(labels.size - low_count)},
+            },
+            "pca": {
+                "standardized": config.standardize,
+                "explained_variance_ratio": list(projected.explained_variance_ratio),
+            },
+            **base,
+            "scatter": {
+                "pc1": projected.points[:, 0].tolist(),
+                "pc2": projected.points[:, 1].tolist(),
+                "predicted": [int(g) ^ flipped for g in base["hga"]["assignment"]],
+                "actual": [int(v) for v in labels],
+            },
+            "timings_s": timings,
         }
-        for seed, body in zip(seeds, bodies)
-    ]
+        timings["total"] = time.perf_counter() - t0
+
+        bodies = ((seed, _run_seed(config, seed, labels, split)) for seed in shares[0][1:])
+        results = [(shares[0], *_rows(chain([(config.seed, report)], bodies)))]
+        while children:
+            results.append((children[0][0], *_join_rows(*children[0])))
+            children.pop(0)
+    finally:  # children are left here only when this process raised
+        for _, pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    if failures := [(share[len(rows)], error) for share, rows, error in results if error]:
+        raise min(failures)[1]  # the lowest failing seed's, as a serial run raises
+    rows = sorted((row for _, rows, _ in results for row in rows), key=lambda row: row["seed"])
     report["replicates"] = rows
     if config.replicates > 1:
         wins = sum(1 for r in rows if r["hga_accuracy_pct"] >= r["kmeans_accuracy_pct"])
-        report["replicate_summary"] = {
-            "median_hga_fitness": median(r["hga_fitness"] for r in rows),
-            "median_kmeans_fitness": median(r["kmeans_fitness"] for r in rows),
-            "median_hga_accuracy_pct": median(r["hga_accuracy_pct"] for r in rows),
-            "median_kmeans_accuracy_pct": median(r["kmeans_accuracy_pct"] for r in rows),
-            "hga_accuracy_at_least_kmeans_fraction": wins / len(rows),
+        summary = report["replicate_summary"] = {
+            f"median_{key}": float(np.median([r[key] for r in rows]))
+            for key in ("hga_fitness", "kmeans_fitness", "hga_accuracy_pct", "kmeans_accuracy_pct")
         }
+        summary["hga_accuracy_at_least_kmeans_fraction"] = wins / len(rows)
 
     if config.normalize_timings:
         normalize_report_timings(report)

@@ -1,6 +1,9 @@
 import json
 import os
+import pickle
+import signal
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgaclust import cli, experiment
+from hgaclust.errors import ContractError, InputError
 from hgaclust.dataset import (
     IMPUTE_STRATEGIES,
     impute_missing,
@@ -603,6 +607,164 @@ class TestCli:
         _validate_report(report, argv[0])
         hga = report["hga"] if argv[0] == "experiment" else report
         assert hga["best_fitness"] == best
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(count), raising=False)
+
+
+def _count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose wait on a forked child never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError("a wait on a forked child did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedShares:
+    """Replicate seeds run in strided shares, one per usable CPU, the base seed's share
+    in this process and each other share in a forked child."""
+
+    def test_outputs_identical_for_any_cpu_count(self, heart_csv, tmp_path, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        outputs = []
+        for count in (1, 2, 3, 4):
+            _usable_cpus(monkeypatch, count)
+            paths = [tmp_path / f"{name}{count}" for name in ("report", "trace", "scatter")]
+            argv = [
+                "experiment", "--input", heart_csv, "--seed", "2", "--replicates", "5",
+                "--population-size", "20", "--normalize-timings", "--output", str(paths[0]),
+                "--trace-file", str(paths[1]), "--scatter", str(paths[2]),
+            ]
+            assert cli.main(argv) == 0
+            outputs.append([path.read_bytes() for path in paths])
+        # seeds 2..6 in shares of 5, 3+2, 2+2+1 and 2+1+1+1
+        assert outputs[1:] == outputs[:1] * 3
+        assert len(forks) == 0 + 1 + 2 + 3
+        _assert_no_children()
+
+    @pytest.mark.parametrize("count, forks", [(10**6, 2), (None, 0)], ids=["huge", "unknown"])
+    def test_shares_clamped_to_the_seeds(self, count, forks, heart_csv, monkeypatch):
+        # the count is only ever patched, so no value here starts that many processes
+        if count is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            _usable_cpus(monkeypatch, count)
+        calls = _count_forks(monkeypatch)
+        report = run_experiment(ExperimentConfig(input=heart_csv, population_size=10, replicates=3))
+        assert [row["seed"] for row in report["replicates"]] == [0, 1, 2]
+        assert len(calls) == forks
+        _assert_no_children()
+
+    @pytest.mark.parametrize(
+        "error, failing, code",
+        [(InputError, [3], 2), (ContractError, [3], 3), (InputError, [2, 3], 2),
+         (InputError, [1, 4], 2), (ContractError, [0, 1], 3)],
+        ids=["child", "child-contract", "own-share-first", "child-first", "base"],
+    )
+    def test_seed_error_matches_serial(
+        self, error, failing, code, heart_csv, tmp_path, monkeypatch, capsys
+    ):
+        run_seed = experiment._run_seed
+
+        def failing_seed(config, seed, *args):
+            if seed in failing:
+                raise error(f"hga: seed {seed} failed")
+            return run_seed(config, seed, *args)
+
+        monkeypatch.setattr(experiment, "_run_seed", failing_seed)
+        outcomes = []
+        for count in (1, 2):  # seeds 0..4 in shares [0, 2, 4] and [1, 3]
+            _usable_cpus(monkeypatch, count)
+            out = tmp_path / f"report{count}"
+            argv = ["experiment", "--input", heart_csv, "--replicates", "5",
+                    "--population-size", "10", "--output", str(out)]
+            outcomes.append((cli.main(argv), capsys.readouterr().err, out.exists()))
+            _assert_no_children()
+        assert outcomes == [(code, f"error: hga: seed {min(failing)} failed\n", False)] * 2
+
+    @pytest.mark.parametrize(
+        "end", [lambda: os._exit(1), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+        ids=["exit-1", "killed"],
+    )
+    def test_child_without_result_is_contract_error(
+        self, end, heart_csv, tmp_path, monkeypatch, capsys
+    ):
+        run_seed, parent = experiment._run_seed, os.getpid()
+
+        def dying_child(config, seed, *args):
+            if os.getpid() != parent:
+                end()
+            return run_seed(config, seed, *args)
+
+        monkeypatch.setattr(experiment, "_run_seed", dying_child)
+        _usable_cpus(monkeypatch, 3)
+        out = tmp_path / "report.json"
+        argv = ["experiment", "--input", heart_csv, "--replicates", "5",
+                "--population-size", "10", "--output", str(out)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: the run of seeds [1, 4] ended without a result\n"
+        assert not out.exists()
+        _assert_no_children()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, InputError], ids=["interrupt", "input"])
+    def test_own_share_error_stops_every_child(self, error, heart_csv, monkeypatch):
+        run_seed, parent = experiment._run_seed, os.getpid()
+
+        def slow_children(config, seed, *args):
+            if os.getpid() != parent:
+                time.sleep(60)  # killed long before it wakes
+            elif seed == 0:
+                raise error("hga: base seed failed")
+            return run_seed(config, seed, *args)
+
+        monkeypatch.setattr(experiment, "_run_seed", slow_children)
+        _usable_cpus(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(error):
+            run_experiment(ExperimentConfig(input=heart_csv, population_size=10, replicates=3))
+        _assert_no_children()
+        assert time.perf_counter() - start < 30
+
+    @staticmethod
+    def _body(fitness=1.5) -> dict:
+        return {
+            "hga": {"best_fitness": fitness, "metrics": {"accuracy_pct": 50.0}, "generations_run": 3},
+            "kmeans": {"fitness": 2.5, "metrics": {"accuracy_pct": 40.0}},
+        }
+
+    def test_payload_past_the_pipe_buffer(self):
+        seeds = range(20_000)
+        pid, pipe = experiment._fork_rows((seed, self._body()) for seed in seeds)
+        rows, error = experiment._join_rows(seeds, pid, pipe)
+        assert error is None and [row["seed"] for row in rows] == list(seeds)
+        assert len(pickle.dumps((rows, error))) > 64 * 1024
+        _assert_no_children()
+
+    def test_unpicklable_rows_are_contract_error(self):
+        pid, pipe = experiment._fork_rows([(7, self._body(fitness=lambda: 0))])
+        rows, error = experiment._join_rows(range(7, 8), pid, pipe)
+        assert rows == [] and isinstance(error, ContractError)
+        assert str(error) == "the run of seeds [7] ended without a result"
+        _assert_no_children()
 
 
 class TestCliFuzz:
