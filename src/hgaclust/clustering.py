@@ -6,18 +6,18 @@ A chromosome assigns each projected point to cluster 0 (low risk) or 1
 lower is better. A chromosome that leaves either cluster empty gets
 fitness +inf so it loses every replacement comparison.
 
-The two-cluster geometry is written once: :func:`chromosome_fitness`
-returns every point's distance to both centroids, and :func:`nearest`
-turns two such arrays into one reassignment pass. The GA's improvement
-step runs it once on its own evaluation's distances; the k-means baseline
+The two-cluster geometry is written once: :meth:`SplitPoints.distances`
+measures every point against both centroids in one (2, n) pass, and
+:func:`nearest` turns its two rows into one branch-free reassignment pass. The
+GA's improvement step runs it once on its own evaluation's distances; k-means
 repeats it until no point moves. Evaluating a chromosome does not modify it:
 ``Chromosome.cached_fitness`` has one writer, the GA's improvement step.
 
-Sums are correctly rounded, with math.fsum's bits, so fitness values do not
-depend on evaluation order and match an independently coded oracle exactly.
-The coordinates are split into exact pieces once per run (:class:`SplitPoints`),
-so both centroids' partials are one exact mat-vec; distance sums use the same
-extraction from SUM_CROSSOVER values on, and fsum below.
+Sums are correctly rounded, with math.fsum's bits, so fitness values and the
+k-means traces do not depend on evaluation order and match an independently
+coded oracle exactly. The coordinates are split into exact pieces once per run
+(:class:`SplitPoints`), so both centroids' partials are one exact mat-vec; distance
+sums use the same extraction from SUM_CROSSOVER values on, and fsum below.
 """
 
 from __future__ import annotations
@@ -60,11 +60,10 @@ class Chromosome:
 
 @dataclass(frozen=True, eq=False)
 class FitnessBreakdown:
-    """Total fitness and all distances to each centroid; None for an empty cluster."""
+    """Total fitness and the (2, n) distances to each centroid; None for an empty cluster."""
 
     total: float
-    d_low: np.ndarray | None
-    d_high: np.ndarray | None
+    distances: np.ndarray | None
 
 
 def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -96,7 +95,7 @@ def _side_sums(low: list, high: list, rest: np.ndarray | None, genes: np.ndarray
 
 
 class SplitPoints:
-    """Points whose two coordinate axes are split by :func:`_extract` once per run.
+    """Points held once as a (2, n) ``coords`` array, each axis split by :func:`_extract`.
 
     ``pieces`` stacks x's ``rows[0]`` rows, y's rows and a row of ones: ``pieces @
     genes`` is the high cluster's exact partials and size, ``totals`` minus it the
@@ -105,7 +104,7 @@ class SplitPoints:
 
     def __init__(self, xy: np.ndarray) -> None:
         (x_rows, x_rest), (y_rows, y_rest) = _extract(xy[:, 0]), _extract(xy[:, 1])
-        self.xy, self.rows = xy, (len(x_rows), len(y_rows))
+        self.coords, self.rows = np.ascontiguousarray(xy.T), (len(x_rows), len(y_rows))
         self.pieces = np.array([*x_rows, *y_rows, np.ones(xy.shape[0])])
         self.totals = self.pieces.sum(axis=1)
         self.rest = [r if r.any() else None for r in (x_rest, y_rest)]
@@ -117,6 +116,13 @@ class SplitPoints:
         x = _side_sums(low[:k], high[:k], self.rest[0], genes)
         y = _side_sums(low[k:-1], high[k:-1], self.rest[1], genes)
         return [(sx / n, sy / n) if n else None for sx, sy, n in zip(x, y, (low[-1], high[-1]))]
+
+    def distances(self, centroids: list) -> np.ndarray:
+        """Row j: every point's Euclidean distance to ``centroids[j]``, both rows in one pass."""
+        c = np.array(centroids)
+        d = np.square(self.coords[0] - c[:, :1])
+        d += np.square(self.coords[1] - c[:, 1:])
+        return np.sqrt(d, out=d)
 
 
 def as_points(points: SplitPoints | ProjectedDataset | np.ndarray) -> SplitPoints:
@@ -132,45 +138,39 @@ def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     if values.size < SUM_CROSSOVER:
         return math.fsum(values[~mask].tolist()), math.fsum(values[mask].tolist())
     rows, r = _extract(values)
-    parts = np.array([np.bincount(mask, weights=q, minlength=2) for q in rows]).reshape(-1, 2)
-    return _side_sums(*parts.T.tolist(), r if r.any() else None, mask)
-
-
-def _distances(xy: np.ndarray, centroid: tuple[float, float]) -> np.ndarray:
-    """Euclidean distance of every point to one centroid, in place on two temporaries."""
-    dx, dy = xy[:, 0] - centroid[0], xy[:, 1] - centroid[1]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    weights = mask.astype(np.float64)
+    high = [float(np.einsum("i,i", q, weights)) for q in rows]  # exact, so low is total - high
+    low = [float(q.sum()) - h for q, h in zip(rows, high)]
+    return _side_sums(low, high, r if r.any() else None, mask)
 
 
 def chromosome_fitness(
     points: SplitPoints | ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
-    """Every point's distance to both centroids, and their total.
+    """Every point's distance to both centroids, and the total of each point's own.
 
-    The total sums each point's distance to its own cluster's centroid;
-    it is +inf if either cluster is empty. The chromosome is not modified.
+    The total is +inf if either cluster is empty. The chromosome is not modified.
     """
     split = as_points(points)
-    xy = split.xy
-    if chrom.genes.size != xy.shape[0]:
-        raise ContractError(f"chromosome length {chrom.genes.size} != point count {xy.shape[0]}")
-    mask = chrom.genes == 1
-    low, high = split.centroids(chrom.genes)
-    if low is None or high is None:
-        return FitnessBreakdown(math.inf, None, None)
-    d_low, d_high = _distances(xy, low), _distances(xy, high)
-    low_total, high_total = _cluster_sums(np.where(mask, d_high, d_low), mask)
-    return FitnessBreakdown(low_total + high_total, d_low, d_high)
+    n = split.coords.shape[1]
+    if chrom.genes.size != n:
+        raise ContractError(f"chromosome length {chrom.genes.size} != point count {n}")
+    centroids = split.centroids(chrom.genes)
+    if None in centroids:
+        return FitnessBreakdown(math.inf, None)
+    d, mask = split.distances(centroids), chrom.genes.view(np.bool_)
+    if n < SUM_CROSSOVER:
+        low, high = math.fsum(d[0][~mask].tolist()), math.fsum(d[1][mask].tolist())
+    else:  # each point's own distance, with no branch: d[1]'s bits where mask, else d[0]'s
+        bits_low, bits_high = d.view(np.int64)
+        own = ((bits_low ^ bits_high) & np.negative(mask, dtype=np.int64)) ^ bits_low
+        low, high = _cluster_sums(own.view(np.float64), mask)
+    return FitnessBreakdown(low + high, d)
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:
-    """One reassignment pass: each point takes its strictly nearer centroid, a tie its gene."""
-    return np.where(
-        d_high < d_low, np.uint8(1), np.where(d_low < d_high, np.uint8(0), genes)
-    )
+    """Each point's strictly nearer centroid, else (tie or NaN) its gene: uint8, 0 or 1 only."""
+    return ((d_high < d_low) | (genes.view(np.bool_) & ~(d_low < d_high))).view(np.uint8)
 
 
 @dataclass
@@ -198,23 +198,21 @@ def kmeans(points: SplitPoints | ProjectedDataset | np.ndarray, seed: int) -> As
     counts as an iteration. A cluster left empty keeps its centroid.
     """
     split = as_points(points)
-    n = split.xy.shape[0]
+    n = split.coords.shape[1]
     if n < 2:
         raise ContractError(f"2 clusters infeasible for {n} points")
-    centroids = split.xy[np.random.default_rng(seed).choice(n, size=2, replace=False)].tolist()
-    genes = np.zeros(n, dtype=np.uint8)
+    centroids = split.coords[:, np.random.default_rng(seed).choice(n, 2, replace=False)].T.tolist()
+    genes, all_low = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=bool)
     objective_trace: list[float] = []
     distance_trace: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
-        d_low, d_high = _distances(split.xy, centroids[0]), _distances(split.xy, centroids[1])
-        new_genes = nearest(d_low, d_high, genes)
+        d = split.distances(centroids)
+        new_genes = nearest(*d, genes)
         if distance_trace and np.array_equal(new_genes, genes):
             break
         genes = new_genes
-        assigned = np.minimum(d_low, d_high)
-        objective_trace.append(math.fsum((assigned * assigned).tolist()))
-        distance_trace.append(math.fsum(assigned.tolist()))
-        for j, centroid in enumerate(split.centroids(genes)):
-            if centroid is not None:
-                centroids[j] = centroid
+        assigned = np.minimum(d[0], d[1])
+        objective_trace.append(_cluster_sums(assigned * assigned, all_low)[0])
+        distance_trace.append(_cluster_sums(assigned, all_low)[0])
+        centroids = [new or old for new, old in zip(split.centroids(genes), centroids)]
     return Assignment(genes, len(distance_trace), objective_trace, distance_trace)

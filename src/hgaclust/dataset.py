@@ -4,7 +4,9 @@ File format: UTF-8 (a leading byte-order mark is skipped), comma
 separated, optional header row (detected by a non-numeric first row),
 ``?`` as the only missing-value sentinel, columns in the fixed UCI order
 of :data:`HEART_COLUMNS`. The target column is binarized on load: 0 stays
-0 (low risk), any positive value becomes 1 (high risk).
+0 (low risk), any positive value becomes 1 (high risk). All cells are parsed
+in one bulk pass; a file with a bad row or cell goes through the per-cell
+loop instead, which names the first one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, tee
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +96,38 @@ def load_heart_csv(path: str | Path) -> RawDataset:
         if not raw_rows:
             raise InputError(f"{path}: no data rows after header")
 
+    values, missing = _bulk_values(raw_rows) or _cell_values(path, raw_rows)
+    targets = values[:, TARGET]
+    if (targets < 0).any():
+        bad = int(np.argmax(targets < 0))
+        raise InputError(f"{path}: row {bad + 1}, column 'target': negative target value")
+    # Collapse the 0..4 diagnosis coding to the low/high dichotomy.
+    values[:, TARGET] = (targets > 0).astype(np.float64)
+
+    return RawDataset(values, tuple(missing))
+
+
+def _bulk_values(rows: list[list[str]]) -> tuple[np.ndarray, list[tuple[int, str]]] | None:
+    """All cells in one pass, exact ``?`` as NaN; None if a cell needs :func:`_cell_values`.
+
+    ``float`` strips no whitespace that ``str.strip`` keeps, so a cell parses as in the loop.
+    """
+    n_cols = len(HEART_COLUMNS)
+    if set(map(len, rows)) != {n_cols}:
+        return None
+    texts = map({MISSING_SENTINEL: "nan"}.get, *tee(chain.from_iterable(rows)))  # get(cell, cell)
+    try:
+        flat = np.fromiter(map(float, texts), np.float64, len(rows) * n_cols)
+    except ValueError:
+        return None
+    at = [divmod(k, n_cols) for k in np.flatnonzero(np.isnan(flat)).tolist()]
+    if np.isinf(flat).any() or any(j == TARGET or rows[i][j] != MISSING_SENTINEL for i, j in at):
+        return None
+    return flat.reshape(-1, n_cols), [(i, HEART_COLUMNS[j]) for i, j in at]
+
+
+def _cell_values(path: str | Path, raw_rows: list[list[str]]) -> tuple[np.ndarray, list]:
+    """The cells parsed one by one; raises InputError at the first bad row or cell."""
     n_cols = len(HEART_COLUMNS)
     values = np.empty((len(raw_rows), n_cols), dtype=np.float64)
     missing: list[tuple[int, str]] = []
@@ -116,15 +151,7 @@ def load_heart_csv(path: str | Path) -> RawDataset:
                     f"{path}: row {i + 1}, column {HEART_COLUMNS[j]!r}: "
                     f"cell {cell!r} is not numeric and not {MISSING_SENTINEL!r}"
                 ) from None
-
-    targets = values[:, TARGET]
-    if (targets < 0).any():
-        bad = int(np.argmax(targets < 0))
-        raise InputError(f"{path}: row {bad + 1}, column 'target': negative target value")
-    # Collapse the 0..4 diagnosis coding to the low/high dichotomy.
-    values[:, TARGET] = (targets > 0).astype(np.float64)
-
-    return RawDataset(values, tuple(missing))
+    return values, missing
 
 
 def _looks_like_header(row: list[str]) -> bool:

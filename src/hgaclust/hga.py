@@ -93,7 +93,7 @@ def init_population(
     This draws nothing from ``rng``.
     """
     split = as_points(points)
-    n = split.xy.shape[0]
+    n = split.coords.shape[1]
     if n < 2:
         raise ContractError("need at least 2 points")
     improve = config.improve_initial_population
@@ -190,9 +190,9 @@ def deterministic_improvement(
     split = as_points(points)
     base = chromosome_fitness(split, chrom)
     chrom.cached_fitness = base.total
-    if base.d_low is None:
+    if base.distances is None:
         return chrom
-    new_genes = nearest(base.d_low, base.d_high, chrom.genes)
+    new_genes = nearest(*base.distances, chrom.genes)
     if np.array_equal(new_genes, chrom.genes):
         return chrom
     key = np.packbits(new_genes).tobytes()

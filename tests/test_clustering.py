@@ -102,7 +102,7 @@ class TestChromosomeFitness:
         pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
         breakdown = chromosome_fitness(pts, chrom([0, 0, 0]))
         assert breakdown.total == math.inf
-        assert breakdown.d_low is None and breakdown.d_high is None
+        assert breakdown.distances is None
         assert centroids(pts, [0, 0, 0])[1] is None
 
     def test_cache_set_and_exactly_reproducible(self):
@@ -371,6 +371,26 @@ class TestSplitSeam:
         improved = hga.deterministic_improvement(pts, chrom([0, 1, 1, 1]))
         assert improved.genes_string() == "0011"
         assert calls == [clustering.SplitPoints, clustering.SplitPoints]
+
+
+# few distinct values, so equal pairs (ties) are common; NaN never compares
+DISTANCES = st.sampled_from([0.0, 1.0, 2.5, math.inf, math.nan]) | st.floats(0, 10)
+
+
+class TestNearest:
+    """``nearest`` against the scalar rule: strictly nearer wins, a tie or NaN keeps the gene."""
+
+    @given(st.lists(st.tuples(DISTANCES, DISTANCES, st.integers(0, 1)), min_size=1, max_size=60))
+    @example([(1.0, 1.0, 0), (1.0, 1.0, 1), (math.nan, 1.0, 1), (1.0, math.nan, 0)])
+    @example([(math.inf, math.inf, 1), (0.0, -0.0, 1), (2.0, 1.0, 0), (1.0, 2.0, 1)])
+    def test_matches_the_scalar_rule(self, rows):
+        d_low = np.array([low for low, _, _ in rows])
+        d_high = np.array([high for _, high, _ in rows])
+        genes = np.array([gene for _, _, gene in rows], dtype=np.uint8)
+        moved = clustering.nearest(d_low, d_high, genes)
+        assert moved.dtype == np.uint8 and set(moved.tolist()) <= {0, 1}
+        expected = [1 if high < low else 0 if low < high else gene for low, high, gene in rows]
+        assert moved.tolist() == expected
 
 
 class TestKmeans:

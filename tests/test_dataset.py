@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hgaclust import dataset
 from hgaclust.dataset import (
     HEART_COLUMNS,
     IMPUTE_STRATEGIES,
@@ -143,6 +144,70 @@ class TestLoaderFuzz:
                 return
         assert isinstance(data, RawDataset)
         assert not np.isnan(data.values).any()
+
+
+# Cells the bulk pass takes whole, and cells it hands to the per-cell loop: a "?"
+# with whitespace, whitespace that only str.strip removes, NaN or infinity literals,
+# an overflow, text, an empty cell. Targets likewise, one negative target included.
+BULK_CELLS = ["0", "1", "2.3", "-4", "63", "1e3", "1_0", "\u0663", "\u0661\u0662.\u0665",
+              "\xa05\xa0", " 7 ", "?"]
+LOOP_CELLS = [" ? ", "\t?", "\x1c7", "7\x1f", "nan", "NaN", "inf", "-inf", "1e400", "abc", "1 0", ""]
+BULK_TARGETS = ["0", "1", "2", "4", "3.5", "\u0661"] * 2 + ["-1"]
+LOOP_TARGETS = ["?", " ? ", "\x1c1", "nan", "1e400"]
+
+
+@st.composite
+def heart_files(draw):
+    """CSV text of a few rows from the cell alphabets, and whether it is bulk-only."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(st.sampled_from(BULK_CELLS), min_size=13, max_size=13))
+        rows.append(row + [draw(st.sampled_from(BULK_TARGETS))])
+    bulk_only = draw(st.booleans())
+    for _ in range(0 if bulk_only else draw(st.integers(1, 2))):
+        row, kind = draw(st.sampled_from(rows)), draw(st.sampled_from(["cell", "target", "length"]))
+        if kind == "cell":
+            row[draw(st.integers(0, 12))] = draw(st.sampled_from(LOOP_CELLS))
+        elif kind == "target":
+            row[-1] = draw(st.sampled_from(LOOP_TARGETS))
+        else:  # a cell short, or one too many
+            row[13:] = draw(st.sampled_from([[], row[13:] + ["0"]]))
+    header = ",".join(HEART_COLUMNS) + "\n" if draw(st.booleans()) else ""
+    return header + "".join(",".join(row) + "\n" for row in rows), bulk_only
+
+
+def _load_outcome(path):
+    try:
+        data = load_heart_csv(path)
+    except InputError as exc:
+        return str(exc)
+    return data.values.tobytes(), data.imputed_cells
+
+
+class TestBulkParse:
+    @settings(max_examples=300)
+    @given(heart_files())
+    @example((_rows(2, ca=" ? ") + _rows(1, thal="\x1c7"), False))  # the loop takes both
+    @example((_rows(1) + "63,1,3,145,233,1,0,150,0,2.3,0,0,1,?\n", False))
+    @example((_rows(1) + "63,1,3,145,233,1,0,150,0,2.3,0,0,1,1,0\n", False))
+    @example((_rows(3, ca="?", thal="\u0663"), True))
+    def test_matches_the_per_cell_loop(self, drawn):
+        """Same values and missing cells, or the same error, as the per-cell loop alone."""
+        text, bulk_only = drawn
+
+        def refuse(*args):
+            raise AssertionError("the bulk pass handed a well-formed file to the loop")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            path.write_text(text, encoding="utf-8")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataset, "_bulk_values", lambda rows: None)
+                expected = _load_outcome(path)
+            with pytest.MonkeyPatch.context() as patch:
+                if bulk_only:
+                    patch.setattr(dataset, "_cell_values", refuse)
+                assert _load_outcome(path) == expected
 
 
 class TestImpute:
