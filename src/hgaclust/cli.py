@@ -33,6 +33,7 @@ from .experiment import (
     evaluate_assignment,
     hga_block,
     kmeans_block,
+    output_file,
     prepare_points,
     render_report,
     run_experiment,
@@ -132,14 +133,9 @@ def _trace_sink(path: str | None):
     if not path:
         yield None
         return
-    with open(path, "w") as handle:
+    with output_file(path) as handle:
         handle.write("generation,min_fitness,max_fitness\n")
-        try:
-            yield lambda *row: handle.write(csv_line(row))
-        except BaseException:
-            handle.close()
-            Path(path).unlink()
-            raise
+        yield lambda *row: handle.write(csv_line(row))
 
 
 def _cmd_pca(args: argparse.Namespace, config: ExperimentConfig) -> None:

@@ -66,8 +66,8 @@ class FitnessBreakdown:
     distances: np.ndarray | None
 
 
-def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Rows ``q`` and a remainder ``r`` that add up to ``values`` exactly.
+def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Rows ``q`` and a remainder ``r`` that add up to ``values`` exactly; ``r`` None if zero.
 
     Each pass splits ``r`` into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump, Ogita
     and Oishi 2008). With ``sigma`` a power of two above (n + 1) * max|r|, every partial
@@ -75,16 +75,16 @@ def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     stops the first pass, so fsum sees ``values`` and overflows or gives NaN as over them.
     """
     rows, r = [], values
-    for _ in range(EXTRACTION_PASSES):
+    for _ in range(EXTRACTION_PASSES + 1):  # the last looks at the final remainder only
         top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
         scale = math.frexp(top)[1] + (values.size + 1).bit_length()
-        if top == 0.0 or not math.isfinite(top) or scale > 1023:
+        if top == 0.0 or len(rows) == EXTRACTION_PASSES or not math.isfinite(top) or scale > 1023:
             break
         q = r + math.ldexp(1.0, scale)
         q -= math.ldexp(1.0, scale)
         r = r - q
         rows.append(q)
-    return rows, r
+    return rows, None if top == 0.0 else r
 
 
 def _side_sums(low: list, high: list, rest: np.ndarray | None, genes: np.ndarray):
@@ -107,7 +107,7 @@ class SplitPoints:
         self.coords, self.rows = np.ascontiguousarray(xy.T), (len(x_rows), len(y_rows))
         self.pieces = np.array([*x_rows, *y_rows, np.ones(xy.shape[0])])
         self.totals = self.pieces.sum(axis=1)
-        self.rest = [r if r.any() else None for r in (x_rest, y_rest)]
+        self.rest = [x_rest, y_rest]
 
     def centroids(self, genes: np.ndarray) -> list[tuple[float, float] | None]:
         """Mean of cluster 0 and of cluster 1 under ``genes``; None if empty."""
@@ -141,7 +141,7 @@ def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     weights = mask.astype(np.float64)
     high = [float(np.einsum("i,i", q, weights)) for q in rows]  # exact, so low is total - high
     low = [float(q.sum()) - h for q, h in zip(rows, high)]
-    return _side_sums(low, high, r if r.any() else None, mask)
+    return _side_sums(low, high, r, mask)
 
 
 def chromosome_fitness(

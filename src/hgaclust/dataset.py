@@ -1,12 +1,12 @@
 """Ingestion of the 14-attribute heart-disease CSV.
 
-File format: UTF-8 (a leading byte-order mark is skipped), comma
-separated, optional header row (detected by a non-numeric first row),
-``?`` as the only missing-value sentinel, columns in the fixed UCI order
-of :data:`HEART_COLUMNS`. The target column is binarized on load: 0 stays
-0 (low risk), any positive value becomes 1 (high risk). All cells are parsed
-in one bulk pass; a file with a bad row or cell goes through the per-cell
-loop instead, which names the first one.
+File format: UTF-8 (a leading byte-order mark is skipped), comma separated,
+``?`` as the only missing-value sentinel, columns in the fixed UCI order of
+:data:`HEART_COLUMNS`. One cell rule, :func:`_parse_cell`, holds for every
+cell: one bulk pass applies it, a file that fails is scanned only to name its
+first bad row or cell, and a first row in which no cell passes is a header. The
+target column is binarized on load: 0 stays 0 (low risk), any positive value
+becomes 1 (high risk).
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ class FeatureMatrix:
 
 
 def _parse_cell(text: str) -> float:
+    """The cell rule: stripped, ``?`` is NaN and anything else must be a finite float."""
+    text = text.strip()
+    if text == MISSING_SENTINEL:
+        return math.nan
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(text)
@@ -96,7 +100,19 @@ def load_heart_csv(path: str | Path) -> RawDataset:
         if not raw_rows:
             raise InputError(f"{path}: no data rows after header")
 
-    values, missing = _bulk_values(raw_rows) or _cell_values(path, raw_rows)
+    n_cols = len(HEART_COLUMNS)
+    texts = map(str.strip, chain.from_iterable(raw_rows))
+    texts = map({MISSING_SENTINEL: "nan"}.get, *tee(texts))  # get(text, text)
+    try:  # _parse_cell's rule over every cell at once
+        flat = np.fromiter(map(float, texts), np.float64, len(raw_rows) * n_cols)
+    except ValueError:
+        raise _first_error(path, raw_rows) from None
+    at = [divmod(k, n_cols) for k in np.flatnonzero(np.isnan(flat)).tolist()]
+    if set(map(len, raw_rows)) != {n_cols} or np.isinf(flat).any() or any(
+        j == TARGET or raw_rows[i][j].strip() != MISSING_SENTINEL for i, j in at
+    ):
+        raise _first_error(path, raw_rows)
+    values = flat.reshape(-1, n_cols)
     targets = values[:, TARGET]
     if (targets < 0).any():
         bad = int(np.argmax(targets < 0))
@@ -104,70 +120,35 @@ def load_heart_csv(path: str | Path) -> RawDataset:
     # Collapse the 0..4 diagnosis coding to the low/high dichotomy.
     values[:, TARGET] = (targets > 0).astype(np.float64)
 
-    return RawDataset(values, tuple(missing))
+    return RawDataset(values, tuple((i, HEART_COLUMNS[j]) for i, j in at))
 
 
-def _bulk_values(rows: list[list[str]]) -> tuple[np.ndarray, list[tuple[int, str]]] | None:
-    """All cells in one pass, exact ``?`` as NaN; None if a cell needs :func:`_cell_values`.
-
-    ``float`` strips no whitespace that ``str.strip`` keeps, so a cell parses as in the loop.
-    """
+def _first_error(path: str | Path, raw_rows: list[list[str]]) -> Exception:
+    """The InputError naming a refused file's first bad row or cell; a ContractError if none."""
     n_cols = len(HEART_COLUMNS)
-    if set(map(len, rows)) != {n_cols}:
-        return None
-    texts = map({MISSING_SENTINEL: "nan"}.get, *tee(chain.from_iterable(rows)))  # get(cell, cell)
-    try:
-        flat = np.fromiter(map(float, texts), np.float64, len(rows) * n_cols)
-    except ValueError:
-        return None
-    at = [divmod(k, n_cols) for k in np.flatnonzero(np.isnan(flat)).tolist()]
-    if np.isinf(flat).any() or any(j == TARGET or rows[i][j] != MISSING_SENTINEL for i, j in at):
-        return None
-    return flat.reshape(-1, n_cols), [(i, HEART_COLUMNS[j]) for i, j in at]
-
-
-def _cell_values(path: str | Path, raw_rows: list[list[str]]) -> tuple[np.ndarray, list]:
-    """The cells parsed one by one; raises InputError at the first bad row or cell."""
-    n_cols = len(HEART_COLUMNS)
-    values = np.empty((len(raw_rows), n_cols), dtype=np.float64)
-    missing: list[tuple[int, str]] = []
-    for i, row in enumerate(raw_rows):
+    for i, row in enumerate(raw_rows, 1):
         if len(row) != n_cols:
-            raise InputError(f"{path}: row {i + 1} has {len(row)} columns, expected {n_cols}")
-        for j, cell in enumerate(row):
-            text = cell.strip()
-            if text == MISSING_SENTINEL:
-                if j == TARGET:
-                    raise InputError(
-                        f"{path}: row {i + 1}, column 'target': missing target is not supported"
-                    )
-                values[i, j] = np.nan
-                missing.append((i, HEART_COLUMNS[j]))
-                continue
+            return InputError(f"{path}: row {i} has {len(row)} columns, expected {n_cols}")
+        for column, cell in zip(HEART_COLUMNS, row):
             try:
-                values[i, j] = _parse_cell(text)
+                if not (math.isnan(_parse_cell(cell)) and column == "target"):
+                    continue
+                problem = "missing target is not supported"
             except ValueError:
-                raise InputError(
-                    f"{path}: row {i + 1}, column {HEART_COLUMNS[j]!r}: "
-                    f"cell {cell!r} is not numeric and not {MISSING_SENTINEL!r}"
-                ) from None
-    return values, missing
+                problem = f"cell {cell!r} is not numeric and not {MISSING_SENTINEL!r}"
+            return InputError(f"{path}: row {i}, column {column!r}: {problem}")
+    return ContractError(f"{path}: the bulk parse refused a file whose every cell parses")
 
 
 def _looks_like_header(row: list[str]) -> bool:
-    # Column names never parse as numbers; a row with any numeric cell is data.
-    if not row:
-        return False
+    # Column names never parse as cells; a row with any numeric or missing cell is data.
     for cell in row:
-        text = cell.strip()
-        if text == MISSING_SENTINEL:
-            return False
         try:
-            _parse_cell(text)
+            _parse_cell(cell)
         except ValueError:
             continue
         return False
-    return True
+    return bool(row)
 
 
 def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:

@@ -313,14 +313,23 @@ def render_report(report: dict, format: str = "json") -> Iterator[str]:
 
 def emit_report(report: dict, format: str = "json", path: str | Path = "report.json") -> Path:
     """Write :func:`render_report`'s text to ``path``; a refused report leaves no file."""
-    path = Path(path)
-    try:
-        with open(path, "w") as handle:
-            handle.writelines(render_report(report, format))
-    except ValueError:
-        path.unlink()
-        raise
-    return path
+    with output_file(path) as handle:
+        handle.writelines(render_report(report, format))
+    return Path(path)
+
+
+@contextmanager
+def output_file(path: str | Path):
+    """``path`` open for writing. A body that raises removes ``path`` if it is a regular
+    file; a device or pipe, or a link to one, stays."""
+    with open(path, "w") as handle:
+        try:
+            yield handle
+        except BaseException:
+            handle.close()
+            if Path(path).is_file():
+                Path(path).unlink()
+            raise
 
 
 def csv_line(values) -> str:

@@ -6,6 +6,7 @@ evaluation order and results can be compared exactly). numpy appears
 only as the GA oracle's random generator, which must be the library's.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -188,3 +189,62 @@ def python_run_hga(points, population_size, seed, doldrum_factor=2, max_generati
     values = [value for _, value in population]
     best = values.index(min(values))
     return values[best], population[best][0], trace, terminated_by
+
+
+def python_load_heart_csv(path, columns):
+    """The heart CSV read cell by cell: (rows of floats, missing cells), or the error text.
+
+    Each cell is stripped; ``?`` is missing (NaN) and anything else must be a finite
+    float. A first row with no such cell is a header and must equal ``columns``. The
+    first wrong row length, unparsable cell or missing target in file order is named,
+    and only then a negative target. Targets come back as 0.0 or 1.0.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        return f"{path}: file is empty"
+
+    def cell_value(text):
+        text = text.strip()
+        if text == "?":
+            return math.nan
+        value = float(text)
+        if math.isnan(value) or math.isinf(value):
+            raise ValueError(text)
+        return value
+
+    def parses(text):
+        try:
+            cell_value(text)
+        except ValueError:
+            return False
+        return True
+
+    if rows[0] and not any(parses(cell) for cell in rows[0]):
+        header = [cell.strip() for cell in rows[0]]
+        if header != list(columns):
+            return f"{path}: header {header} does not match expected columns {list(columns)}"
+        rows = rows[1:]
+        if not rows:
+            return f"{path}: no data rows after header"
+    values, missing = [], []
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            return f"{path}: row {i} has {len(row)} columns, expected {len(columns)}"
+        values.append([])
+        for name, cell in zip(columns, row):
+            try:
+                value = cell_value(cell)
+            except ValueError:
+                return f"{path}: row {i}, column {name!r}: cell {cell!r} is not numeric and not '?'"
+            if math.isnan(value):
+                if name == "target":
+                    return f"{path}: row {i}, column 'target': missing target is not supported"
+                missing.append((i - 1, name))
+            values[-1].append(value)
+    target = columns.index("target")
+    for i, row in enumerate(values, 1):
+        if row[target] < 0:
+            return f"{path}: row {i}, column 'target': negative target value"
+        row[target] = 1.0 if row[target] > 0 else 0.0
+    return values, tuple(missing)

@@ -222,6 +222,14 @@ class TestClusterSums:
         assert cluster_sum_bits(np.zeros(values.size), mask) == ("0x0.0p+0", "0x0.0p+0")
         assert cluster_sum_bits(-np.zeros(values.size), mask) == ("0x0.0p+0", "0x0.0p+0")
 
+    def test_a_remainder_cleared_by_the_last_pass_is_none(self):
+        # four cancelling levels of WIDE_SPAN: each pass clears one, the fourth the last
+        values = np.resize(np.array(WIDE_SPAN[:8]), 2 * clustering.SUM_CROSSOVER)
+        rows, rest = clustering._extract(values)
+        assert len(rows) == clustering.EXTRACTION_PASSES and rest is None
+        mask = np.arange(values.size) % 3 == 0
+        assert cluster_sum_bits(values, mask) == fsum_bits(values, mask)
+
     def test_kernel_matches_the_oracle_on_the_extraction_path(self):
         rng = np.random.default_rng(11)
         n = 2 * clustering.SUM_CROSSOVER

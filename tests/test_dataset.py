@@ -20,6 +20,8 @@ from hgaclust.dataset import (
 )
 from hgaclust.errors import ContractError, InputError
 
+from oracles import python_load_heart_csv
+
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -146,34 +148,34 @@ class TestLoaderFuzz:
         assert not np.isnan(data.values).any()
 
 
-# Cells the bulk pass takes whole, and cells it hands to the per-cell loop: a "?"
-# with whitespace, whitespace that only str.strip removes, NaN or infinity literals,
-# an overflow, text, an empty cell. Targets likewise, one negative target included.
-BULK_CELLS = ["0", "1", "2.3", "-4", "63", "1e3", "1_0", "\u0663", "\u0661\u0662.\u0665",
-              "\xa05\xa0", " 7 ", "?"]
-LOOP_CELLS = [" ? ", "\t?", "\x1c7", "7\x1f", "nan", "NaN", "inf", "-inf", "1e400", "abc", "1 0", ""]
-BULK_TARGETS = ["0", "1", "2", "4", "3.5", "\u0661"] * 2 + ["-1"]
-LOOP_TARGETS = ["?", " ? ", "\x1c1", "nan", "1e400"]
+# Plain cells, and cells at the edges of the cell rule: a "?" with whitespace,
+# whitespace that only str.strip removes, NaN or infinity literals, an overflow,
+# text, an empty cell. Targets likewise, one negative target included.
+PLAIN_CELLS = ["0", "1", "2.3", "-4", "63", "1e3", "1_0", "\u0663", "\u0661\u0662.\u0665",
+               "\xa05\xa0", " 7 ", "?"]
+EDGE_CELLS = [" ? ", "\t?", "\x1c7", "7\x1f", "nan", "NaN", "inf", "-inf", "1e400", "abc", "1 0", ""]
+PLAIN_TARGETS = ["0", "1", "2", "4", "3.5", "\u0661"] * 2 + ["-1"]
+EDGE_TARGETS = ["?", " ? ", "\x1c1", "nan", "1e400"]
+HEADER = ",".join(HEART_COLUMNS) + "\n"
 
 
 @st.composite
 def heart_files(draw):
-    """CSV text of a few rows from the cell alphabets, and whether it is bulk-only."""
+    """CSV text of a few rows from the plain alphabets, with up to two edge cells or bad rows."""
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        row = draw(st.lists(st.sampled_from(BULK_CELLS), min_size=13, max_size=13))
-        rows.append(row + [draw(st.sampled_from(BULK_TARGETS))])
-    bulk_only = draw(st.booleans())
-    for _ in range(0 if bulk_only else draw(st.integers(1, 2))):
+        row = draw(st.lists(st.sampled_from(PLAIN_CELLS), min_size=13, max_size=13))
+        rows.append(row + [draw(st.sampled_from(PLAIN_TARGETS))])
+    for _ in range(draw(st.integers(0, 2))):
         row, kind = draw(st.sampled_from(rows)), draw(st.sampled_from(["cell", "target", "length"]))
         if kind == "cell":
-            row[draw(st.integers(0, 12))] = draw(st.sampled_from(LOOP_CELLS))
+            row[draw(st.integers(0, 12))] = draw(st.sampled_from(EDGE_CELLS))
         elif kind == "target":
-            row[-1] = draw(st.sampled_from(LOOP_TARGETS))
+            row[-1] = draw(st.sampled_from(EDGE_TARGETS))
         else:  # a cell short, or one too many
             row[13:] = draw(st.sampled_from([[], row[13:] + ["0"]]))
-    header = ",".join(HEART_COLUMNS) + "\n" if draw(st.booleans()) else ""
-    return header + "".join(",".join(row) + "\n" for row in rows), bulk_only
+    header = HEADER if draw(st.booleans()) else ""
+    return header + "".join(",".join(row) + "\n" for row in rows)
 
 
 def _load_outcome(path):
@@ -184,29 +186,38 @@ def _load_outcome(path):
     return data.values.tobytes(), data.imputed_cells
 
 
-class TestBulkParse:
+class TestCellRule:
     @settings(max_examples=300)
     @given(heart_files())
-    @example((_rows(2, ca=" ? ") + _rows(1, thal="\x1c7"), False))  # the loop takes both
-    @example((_rows(1) + "63,1,3,145,233,1,0,150,0,2.3,0,0,1,?\n", False))
-    @example((_rows(1) + "63,1,3,145,233,1,0,150,0,2.3,0,0,1,1,0\n", False))
-    @example((_rows(3, ca="?", thal="\u0663"), True))
-    def test_matches_the_per_cell_loop(self, drawn):
-        """Same values and missing cells, or the same error, as the per-cell loop alone."""
-        text, bulk_only = drawn
+    @example(_rows(2, ca=" ? ") + _rows(1, thal="\x1c7"))  # edge cells the rule accepts
+    @example(_rows(1) + "63,1,3,145,233,1,0,150,0,2.3,0,0,1,?\n")
+    @example(_rows(1) + "63,1,3,145,233,1,0,150,0,2.3,0,0,1,1,0\n")
+    @example(_rows(3, ca="?", thal="\u0663"))
+    # a header with a "?" cell is data; one with a "nan" cell is a wrong header
+    @example(HEADER.replace(",ca,", ",?,") + _rows(2))
+    @example(HEADER.replace(",ca,", ", ? ,") + _rows(2))
+    @example(HEADER.replace(",ca,", ",nan,") + _rows(2))
+    # two anomalies: the first in file order is named, a negative target only last
+    @example(_rows(1, ca="abc") + "1,2,3\n")
+    @example("1,2,3\n" + _rows(1, ca="abc"))
+    @example("63,1,3,145,233,1,0,150,0,2.3,0,nan,1,?\n")
+    @example(_rows(1).replace(",1\n", ",-1\n") + _rows(1, thal="inf"))
+    def test_matches_the_per_cell_oracle(self, text):
+        """Same values and missing cells, or the same error, as a plain per-cell reader."""
 
         def refuse(*args):
-            raise AssertionError("the bulk pass handed a well-formed file to the loop")
+            raise AssertionError("a well-formed file went to the error scan")
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cells.csv"
             path.write_text(text, encoding="utf-8")
+            expected = python_load_heart_csv(path, HEART_COLUMNS)
+            if not isinstance(expected, str):
+                values, missing = expected
+                expected = np.array(values, dtype=np.float64).tobytes(), missing
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(dataset, "_bulk_values", lambda rows: None)
-                expected = _load_outcome(path)
-            with pytest.MonkeyPatch.context() as patch:
-                if bulk_only:
-                    patch.setattr(dataset, "_cell_values", refuse)
+                if not isinstance(expected, str):
+                    patch.setattr(dataset, "_first_error", refuse)
                 assert _load_outcome(path) == expected
 
 

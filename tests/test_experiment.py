@@ -284,6 +284,13 @@ class TestEmission:
             emit_report(report, "json", tmp_path / "r.json")
         assert not (tmp_path / "r.json").exists()
 
+    def test_non_finite_report_keeps_a_link_to_a_device(self, tmp_path):
+        link = tmp_path / "r.json"
+        link.symlink_to(os.devnull)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report({"x": float("nan")}, "json", link)
+        assert link.is_symlink()
+
     def test_scatter_export(self, small_report, tmp_path):
         scatter = small_report["scatter"]
         write_csv_table(tmp_path / "scatter.csv", scatter)
@@ -420,24 +427,34 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv, rows, expected",
+        "argv, rows, expected, linked",
         [
             # identical rows project onto one point, so k-means leaves a cluster empty
-            (["experiment"], [ROW_A] * 20, 2),
-            (["hga", "--seed", "-1"], [ROW_A, ROW_B], 2),
-            (["experiment", "--population-size", "4"], [ROW_A, ROW_B, ROW_A], 0),
+            (["experiment"], [ROW_A] * 20, 2, False),
+            (["hga", "--seed", "-1"], [ROW_A, ROW_B], 2, False),
+            (["experiment", "--population-size", "4"], [ROW_A, ROW_B, ROW_A], 0, False),
+            # a trace path that links to the null device is never removed
+            (["experiment"], [ROW_A] * 20, 2, True),
+            (["experiment", "--population-size", "4"], [ROW_A, ROW_B, ROW_A], 0, True),
         ],
-        ids=["experiment-fails", "hga-fails", "experiment"],
+        ids=["experiment-fails", "hga-fails", "experiment", "devnull-link-fails", "devnull-link"],
     )
-    def test_trace_file_kept_only_on_success(self, argv, rows, expected, tmp_path):
+    def test_trace_file_kept_only_on_success(self, argv, rows, expected, linked, tmp_path, capsys):
         csv_path = tmp_path / "rows.csv"
         csv_path.write_text("\n".join(rows) + "\n")
         trace, out = tmp_path / "t.csv", tmp_path / "out.json"
+        if linked:
+            trace.symlink_to(os.devnull)
         argv = [*argv, "--input", str(csv_path), "--trace-file", str(trace), "--output", str(out)]
         assert cli.main(argv) == expected
-        assert trace.exists() == out.exists() == (expected == 0)
-        if expected == 0:
+        assert out.exists() == (expected == 0)
+        assert trace.is_symlink() if linked else trace.exists() == (expected == 0)
+        if expected == 0 and not linked:
             assert trace.read_text().startswith("generation,min_fitness,max_fitness\n")
+        if argv[0] == "experiment" and expected:
+            assert capsys.readouterr().err == (
+                "error: kmeans: the projected points cannot be split into two non-empty clusters\n"
+            )
 
     @pytest.mark.parametrize(
         "argv, content",
