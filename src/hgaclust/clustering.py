@@ -17,13 +17,15 @@ Sums are correctly rounded, with math.fsum's bits, so fitness values and the
 k-means traces do not depend on evaluation order and match an independently
 coded oracle exactly. The coordinates are split into exact pieces once per run
 (:class:`SplitPoints`), so both centroids' partials are one exact mat-vec; distance
-sums use the same extraction from SUM_CROSSOVER values on, and fsum below.
+sums use the same extraction from SUM_CROSSOVER values on, and fsum below, when
+:attr:`FitnessBreakdown.total` is first read: the GA's guard rarely needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +62,29 @@ class Chromosome:
 
 @dataclass(frozen=True, eq=False)
 class FitnessBreakdown:
-    """Total fitness and the (2, n) distances to each centroid; None for an empty cluster."""
+    """Each point's (2, n) distances to both centroids and to its ``own``; None if one is empty.
+    ``total`` is summed on first read and kept, so read it before ``genes`` change."""
 
-    total: float
     distances: np.ndarray | None
+    own: np.ndarray | None
+    genes: np.ndarray
+
+    @cached_property
+    def total(self) -> float:
+        if self.own is None:
+            return math.inf
+        low, high = _cluster_sums(self.own, self.genes.view(np.bool_))
+        return low + high
+
+    def total_at_least(self, value: float) -> bool:
+        """True if ``value <= total`` is certain from a plain float sum; False if undecided.
+
+        A float sum of n non-negative terms is within (n-1)u/(1-(n-1)u) of their exact sum
+        S (Higham, *Accuracy and Stability*, section 4.2; u = 2**-53), and ``total`` is at
+        least S(1-u)**2: a margin of (n + 8) * 2**-52 covers both away from the extremes."""
+        naive = float(self.own.sum())
+        margin = 1 - (self.own.size + 8) * 2.0**-52
+        return 2.0**-1000 < naive < 2.0**1000 and value <= naive * margin
 
 
 def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
@@ -147,7 +168,7 @@ def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
 def chromosome_fitness(
     points: SplitPoints | ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
-    """Every point's distance to both centroids, and the total of each point's own.
+    """Every point's distance to both centroids and to its own; the total is summed when read.
 
     The total is +inf if either cluster is empty. The chromosome is not modified.
     """
@@ -157,15 +178,9 @@ def chromosome_fitness(
         raise ContractError(f"chromosome length {chrom.genes.size} != point count {n}")
     centroids = split.centroids(chrom.genes)
     if None in centroids:
-        return FitnessBreakdown(math.inf, None)
-    d, mask = split.distances(centroids), chrom.genes.view(np.bool_)
-    if n < SUM_CROSSOVER:
-        low, high = math.fsum(d[0][~mask].tolist()), math.fsum(d[1][mask].tolist())
-    else:  # each point's own distance, with no branch: d[1]'s bits where mask, else d[0]'s
-        bits_low, bits_high = d.view(np.int64)
-        own = ((bits_low ^ bits_high) & np.negative(mask, dtype=np.int64)) ^ bits_low
-        low, high = _cluster_sums(own.view(np.float64), mask)
-    return FitnessBreakdown(low + high, d)
+        return FitnessBreakdown(None, None, chrom.genes)
+    d = split.distances(centroids)
+    return FitnessBreakdown(d, np.where(chrom.genes.view(np.bool_), d[1], d[0]), chrom.genes)
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:

@@ -151,16 +151,16 @@ def test_criterion_4_pca_numerics():
 
 @_report_line(5, "crossover and mutation reproduce the published vectors bit-exact")
 def test_criterion_5_crossover_mutation_fixtures():
-    p1 = Chromosome(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
-    p2 = Chromosome(np.array([0, 0, 0, 1, 1], dtype=np.uint8))
-    o1, o2 = one_point_crossover(p1, p2, None, cut=4)
-    assert o1.genes.tolist() == [1, 0, 1, 1, 1]
-    assert o2.genes.tolist() == [0, 0, 0, 1, 0]
+    p1 = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    p2 = np.array([0, 0, 0, 1, 1], dtype=np.uint8)
+    o1, o2 = one_point_crossover(p1, p2, 4)
+    assert o1.tolist() == [1, 0, 1, 1, 1]
+    assert o2.tolist() == [0, 0, 0, 1, 0]
 
-    m1 = two_point_mutation(o1, None, positions=(1, 4))
-    assert m1.genes.tolist() == [1, 1, 1, 1, 0]
-    m2 = two_point_mutation(o2, None, positions=(0, 3))
-    assert m2.genes.tolist() == [1, 0, 0, 0, 0]
+    two_point_mutation(o1, (1, 4))
+    assert o1.tolist() == [1, 1, 1, 1, 0]
+    two_point_mutation(o2, (0, 3))
+    assert o2.tolist() == [1, 0, 0, 0, 0]
 
 
 @_report_line(6, "full-default experiment: fast, schema-valid, reproducible; HGA holds up over 20 seeds")

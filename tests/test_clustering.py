@@ -186,6 +186,54 @@ WIDE_SPAN = [m * 2.0 ** k for k in range(980, -1001, -180) for m in (1.5, -1.5)]
 WIDE_SPAN += [2.0 ** -1000, 3.0]
 
 
+class TestOnDemandTotal:
+    """``FitnessBreakdown.total`` is summed on first read; the guard bound decides without it."""
+
+    @pytest.mark.parametrize("extraction", [False, True], ids=["fsum", "extraction"])
+    def test_first_read_gives_the_exact_total(self, extraction, monkeypatch):
+        if extraction:  # every n is past the crossover
+            monkeypatch.setattr(clustering, "SUM_CROSSOVER", 0)
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(2, 40))
+            pts = rng.normal(0, 50, size=(n, 2))
+            genes = rng.integers(0, 2, n, dtype=np.uint8)
+            breakdown = chromosome_fitness(pts, Chromosome(genes))
+            assert "total" not in breakdown.__dict__
+            total = breakdown.total
+            assert total.hex() == python_fitness(pts.tolist(), genes.tolist()).hex()
+            assert breakdown.__dict__["total"] is total
+
+    THREE = 3.0 * (1 - 10 * 2.0**-52)  # the plain sum 1 + 2 less its margin for n = 2
+
+    @pytest.mark.parametrize(
+        "own, value, decided",
+        [
+            ([1.0, 2.0], 2.0, True),
+            ([1.0, 2.0], THREE, True),
+            ([1.0, 2.0], math.nextafter(THREE, 4.0), False),  # inside the margin
+            ([1.0, 2.0], 3.0, False),  # a tie
+            ([1.0, 2.0], 3.5, False),  # a rejection
+            ([1.0, 2.0], math.nan, False),
+            ([1.0, 2.0], math.inf, False),
+            ([1.0, math.nan], 0.5, False),
+            ([1.0, math.inf], 0.5, False),
+            ([0.0, 0.0], 0.0, False),
+            ([2.0**-1001, 2.0**-1001], 0.0, False),  # the plain sum is 2**-1000
+            ([2.0**-1000, 2.0**-1000], 0.0, True),
+            ([2.0**999, 2.0**999], 1.0, False),  # the plain sum is 2**1000
+            ([2.0**998, 2.0**998], 1.0, True),
+        ],
+    )
+    def test_bound_decides_only_far_from_ties_and_extremes(self, own, value, decided):
+        own = np.array(own)
+        genes = np.array([0, 1], dtype=np.uint8)
+        breakdown = clustering.FitnessBreakdown(np.array([own, own]), own, genes)
+        assert breakdown.total_at_least(value) is decided
+        if decided:
+            assert value <= breakdown.total
+
+
 class TestClusterSums:
     """``_cluster_sums`` against ``math.fsum`` over each cluster, compared as hex."""
 

@@ -40,7 +40,7 @@ ROW_A = "52,1,0,166,350,0,1,133,1,2.3,1,2,2,1"
 ROW_B = "48,0,3,145,298,0,0,134,0,0.2,2,0,2,0"
 BAD_GA_KNOBS = [
     ["--population-size", "1"], ["--max-generations", "0"], ["--doldrum-factor", "0"],
-    # past numpy's largest dimension; refused before any array is shaped
+    # past numpy's largest dimension; refused when the population is allocated
     ["--population-size", "100000000000000000000"], ["--population-size", str(2**64)],
 ]
 FIXTURE_TEXT = (Path(__file__).parent / "data" / "synthetic_heart.csv").read_text()
@@ -624,6 +624,26 @@ class TestCli:
         _validate_report(report, argv[0])
         hga = report["hga"] if argv[0] == "experiment" else report
         assert hga["best_fitness"] == best
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [(["hga"], ""), (["experiment", "--replicates", "2"], "hga: ")],
+        ids=["hga", "experiment-shares"],
+    )
+    # size * 303 genes pass numpy's size limit, or the address space: nothing is allocated
+    @pytest.mark.parametrize("size", [10**17, 2**50], ids=["past-numpy-limit", "past-memory"])
+    def test_unallocatable_population_exit_code(
+        self, argv, prefix, size, heart_csv, tmp_path, monkeypatch, capsys
+    ):
+        _usable_cpus(monkeypatch, 2)  # seed 1 runs in a forked share
+        out = tmp_path / "report.json"
+        code = cli.main([*argv, "--input", heart_csv, "--population-size", str(size),
+                         "--output", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {prefix}population_size {size} is too large for 303 points\n"
+        )
+        _assert_no_children()
 
 
 def _usable_cpus(monkeypatch, count):

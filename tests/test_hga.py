@@ -29,16 +29,28 @@ TWO_PAIRS = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
 FITNESS = st.sampled_from([0.0, 1.0, 2.5, math.inf]) | st.floats(0, 100)
 
 
+def row(text):
+    return np.array([int(c) for c in text], dtype=np.uint8)
+
+
 def bits(text):
-    return Chromosome(np.array([int(c) for c in text], dtype=np.uint8))
+    return Chromosome(row(text))
+
+
+def text(genes):
+    return "".join(str(g) for g in genes.tolist())
+
+
+def draw_pair(rng, size):
+    """The two raw draws of a distinct pair below ``size``, as the GA takes them."""
+    return int(rng.integers(size)), int(rng.integers(size - 1))
 
 
 class TestInitPopulation:
     def test_shape(self):
         rng = np.random.default_rng(0)
         pop = init_population(np.zeros((5, 2)) + np.arange(5)[:, None], HgaConfig(population_size=4), rng)
-        assert len(pop.chromosomes) == 4
-        assert all(len(c) == 5 for c in pop.chromosomes)
+        assert pop.genes.shape == (4, 5) and pop.genes.dtype == np.uint8
         assert not np.isnan(pop.fitness).any()
 
     def test_same_seed_identical(self):
@@ -47,25 +59,26 @@ class TestInitPopulation:
             init_population(pts, HgaConfig(population_size=6), np.random.default_rng(42))
             for _ in range(2)
         ]
-        for a, b in zip(pops[0].chromosomes, pops[1].chromosomes):
-            assert np.array_equal(a.genes, b.genes)
+        assert np.array_equal(pops[0].genes, pops[1].genes)
         assert np.array_equal(pops[0].fitness, pops[1].fitness)
 
     def test_full_scale_population(self, prepared):
         *_, projected = prepared
         rng = np.random.default_rng(3)
         pop = init_population(projected, HgaConfig(population_size=2500), rng)
-        assert len(pop.chromosomes) == 2500
+        assert pop.genes.shape == (2500, projected.n_points)
         assert pop.fitness.shape == (2500,) and np.isfinite(pop.fitness).all()
-        # scoring leaves the chromosomes as they were
-        assert all(c.cached_fitness is None for c in pop.chromosomes)
+        # scoring leaves the rows as drawn: one fair-coin draw per row
+        again = np.random.default_rng(3)
+        drawn = [again.integers(0, 2, size=projected.n_points, dtype=np.uint8) for _ in range(2500)]
+        assert np.array_equal(pop.genes, np.array(drawn))
 
     def test_all_one_sided_population_is_repaired(self):
         # seed 1 draws [1, 1] for both chromosomes: flipping gene 0 of the
         # first gives the only split, without another draw from the rng
         rng = np.random.default_rng(1)
         pop = init_population(TWO_PAIRS[:2], HgaConfig(population_size=2), rng)
-        assert [c.genes_string() for c in pop.chromosomes] == ["01", "11"]
+        assert [text(genes) for genes in pop.genes] == ["01", "11"]
         assert pop.fitness.tolist() == [0.0, math.inf]
         assert (pop.min_fitness, pop.max_fitness) == (0.0, math.inf)
         after = np.random.default_rng(1)
@@ -76,28 +89,26 @@ class TestInitPopulation:
     def test_extreme_indices_consistent(self):
         pts = np.random.default_rng(2).normal(size=(10, 2))
         pop = init_population(pts, HgaConfig(population_size=30), np.random.default_rng(5))
-        totals = [chromosome_fitness(pts, c).total for c in pop.chromosomes]
+        totals = [chromosome_fitness(pts, Chromosome(genes)).total for genes in pop.genes]
         assert pop.fitness.tolist() == totals
         assert (pop.min_fitness, pop.max_fitness) == (min(totals), max(totals))
 
 
 class TestSelectParents:
     def test_size_two_forced(self):
-        chroms = [Chromosome(np.array(genes, dtype=np.uint8)) for genes in ([0, 1], [1, 0])]
-        pop = Population(chroms, np.array([1.0, 2.0]))
+        pop = Population(np.array([[0, 1], [1, 0]], dtype=np.uint8), np.array([1.0, 2.0]))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            pair = select_parents(pop, rng)
+            pair = select_parents(pop, *draw_pair(rng, 2))
             assert sorted(pair) == [0, 1]
 
     def test_empirical_uniformity(self):
-        chroms = [Chromosome(np.array([0, 1], dtype=np.uint8)) for _ in range(10)]
-        pop = Population(chroms, np.arange(10.0))
+        pop = Population(np.tile(np.array([0, 1], dtype=np.uint8), (10, 1)), np.arange(10.0))
         rng = np.random.default_rng(123)
         counts = np.zeros(10)
         draws = 100_000
         for _ in range(draws):
-            i, j = select_parents(pop, rng)
+            i, j = select_parents(pop, *draw_pair(rng, 10))
             assert i != j
             counts[i] += 1
             counts[j] += 1
@@ -105,73 +116,99 @@ class TestSelectParents:
         assert np.abs(freqs - 0.2).max() < 0.01
 
     def test_same_seed_same_sequence(self):
-        chroms = [Chromosome(np.array([0, 1], dtype=np.uint8)) for _ in range(7)]
-        pop = Population(chroms, np.arange(7.0))
+        pop = Population(np.tile(np.array([0, 1], dtype=np.uint8), (7, 1)), np.arange(7.0))
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        seq_a = [select_parents(pop, rng_a) for _ in range(50)]
-        seq_b = [select_parents(pop, rng_b) for _ in range(50)]
+        seq_a = [select_parents(pop, *draw_pair(rng_a, 7)) for _ in range(50)]
+        seq_b = [select_parents(pop, *draw_pair(rng_b, 7)) for _ in range(50)]
         assert seq_a == seq_b
+
+    @pytest.mark.parametrize("draws", [(3, 0), (0, 2), (-1, 0)])
+    def test_draws_out_of_range(self, draws):
+        pop = Population(np.zeros((3, 2), dtype=np.uint8), np.zeros(3))
+        with pytest.raises(ContractError):
+            select_parents(pop, *draws)
 
 
 class TestCrossover:
     def test_known_vectors_at_cut_four(self):
-        o1, o2 = one_point_crossover(bits("10110"), bits("00011"), None, cut=4)
-        assert o1.genes_string() == "10111"
-        assert o2.genes_string() == "00010"
+        o1, o2 = one_point_crossover(row("10110"), row("00011"), 4)
+        assert text(o1) == "10111"
+        assert text(o2) == "00010"
 
     def test_identical_parents(self):
         rng = np.random.default_rng(0)
-        p = bits("10101")
+        p = row("10101")
         for _ in range(10):
-            o1, o2 = one_point_crossover(p, p, rng)
-            assert o1.genes_string() == "10101"
-            assert o2.genes_string() == "10101"
+            o1, o2 = one_point_crossover(p, p, int(rng.integers(1, 5)))
+            assert text(o1) == "10101"
+            assert text(o2) == "10101"
 
     def test_length_two_forced_cut(self):
-        o1, o2 = one_point_crossover(bits("10"), bits("01"), np.random.default_rng(0))
-        assert o1.genes_string() == "11"
-        assert o2.genes_string() == "00"
+        cut = int(np.random.default_rng(0).integers(1, 2))
+        o1, o2 = one_point_crossover(row("10"), row("01"), cut)
+        assert text(o1) == "11"
+        assert text(o2) == "00"
 
     def test_cut_range_exhausted(self):
         rng = np.random.default_rng(1)
         cuts = set()
         for _ in range(200):
-            o1, _ = one_point_crossover(bits("0000"), bits("1111"), rng)
-            cuts.add(o1.genes_string())
+            o1, _ = one_point_crossover(row("0000"), row("1111"), int(rng.integers(1, 4)))
+            cuts.add(text(o1))
         assert cuts == {"0111", "0011", "0001"}  # cuts 1, 2, 3
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            one_point_crossover(bits("101"), bits("10"), np.random.default_rng(0))
+            one_point_crossover(row("101"), row("10"), 1)
+
+    @pytest.mark.parametrize("cut", [0, 5])
+    def test_cut_out_of_range(self, cut):
+        with pytest.raises(ContractError):
+            one_point_crossover(row("10110"), row("00011"), cut)
+
+    def test_children_are_fresh(self):
+        p1, p2 = row("1100"), row("0011")
+        o1, o2 = one_point_crossover(p1, p2, 2)
+        o1[:] = o2[:] = 0
+        assert (text(p1), text(p2)) == ("1100", "0011")
 
 
 class TestMutation:
     def test_known_vector_first_offspring(self):
-        mutated = two_point_mutation(bits("10111"), None, positions=(1, 4))
-        assert mutated.genes_string() == "11110"
+        genes = row("10111")
+        two_point_mutation(genes, (1, 4))
+        assert text(genes) == "11110"
 
     def test_known_vector_second_offspring(self):
-        mutated = two_point_mutation(bits("00010"), None, positions=(0, 3))
-        assert mutated.genes_string() == "10000"
+        genes = row("00010")
+        two_point_mutation(genes, (0, 3))
+        assert text(genes) == "10000"
 
     def test_involution(self):
-        original = bits("0110101")
-        once = two_point_mutation(original, None, positions=(2, 5))
-        twice = two_point_mutation(once, None, positions=(2, 5))
-        assert np.array_equal(twice.genes, original.genes)
+        original = row("0110101")
+        genes = original.copy()
+        two_point_mutation(genes, (2, 5))
+        two_point_mutation(genes, (2, 5))
+        assert np.array_equal(genes, original)
 
     def test_flips_exactly_two_positions(self):
         rng = np.random.default_rng(4)
-        original = bits("000000000")
         for _ in range(100):
-            mutated = two_point_mutation(original, rng)
-            assert int(mutated.genes.sum()) == 2
+            genes = row("000000000")
+            two_point_mutation(genes, hga._distinct_pair(*draw_pair(rng, 9)))
+            assert int(genes.sum()) == 2
 
-    def test_cache_not_carried_over(self):
-        c = bits("0011")
-        c.cached_fitness = 4.0
-        mutated = two_point_mutation(c, np.random.default_rng(0))
-        assert mutated.cached_fitness is None
+    def test_mutates_only_its_child(self):
+        p1, p2 = row("0011"), row("1100")
+        o1, o2 = one_point_crossover(p1, p2, 2)
+        two_point_mutation(o1, hga._distinct_pair(*draw_pair(np.random.default_rng(0), 4)))
+        assert int((o1 != row("0000")).sum()) == 2
+        assert (text(p1), text(p2), text(o2)) == ("0011", "1100", "1111")
+
+    @pytest.mark.parametrize("positions", [(1, 1), (0, 4), (-1, 2)])
+    def test_positions_out_of_range(self, positions):
+        with pytest.raises(ContractError):
+            two_point_mutation(row("0110"), positions)
 
 
 @st.composite
@@ -246,54 +283,165 @@ class TestDeterministicImprovement:
             assert (improved is chrom) == (expected_genes == genes)
 
 
+class TestOnDemandTotal:
+    """The improvement step sums its input's exact total only when the guard needs it."""
+
+    @staticmethod
+    def _improve(monkeypatch, points, genes):
+        """The improvement of ``genes``, and whether the input's exact total was summed."""
+        bases = []
+
+        def spy(split, chrom):
+            bases.append(chromosome_fitness(split, chrom))
+            return bases[-1]
+
+        monkeypatch.setattr(hga, "chromosome_fitness", spy)
+        chrom = bits(genes)
+        with np.errstate(invalid="ignore"):  # inf - inf on the infinite centroid
+            improved = deterministic_improvement(np.array(points), chrom)
+        return improved, chrom, "total" in bases[0].__dict__
+
+    @pytest.mark.parametrize(
+        "points, genes, kept",
+        [
+            # point 3 moves; both assignments total exactly 6.0
+            ([[0, 0], [-3, 0], [0, 0], [3, 0], [1, 0]], "11110", True),
+            ([[1.5, -0.5], [1.5, -1.0], [1.5, -1.5], [1.5, 1.5], [0.5, -1.5]], "11110", False),
+            (TWO_PAIRS, "0011", False),
+            (TWO_PAIRS, "1111", False),
+            ([[0, 0], [1, 0], [math.nan, 0], [5, 0]], "0011", False),
+            # point 3 moves off the infinite centroid; both totals are NaN
+            ([[0, 0], [1, 0], [math.inf, 0], [5, 0]], "0011", False),
+        ],
+        ids=["tie", "rejected", "no-move", "empty-cluster", "nan", "inf"],
+    )
+    def test_exact_path(self, points, genes, kept, monkeypatch):
+        improved, chrom, summed = self._improve(monkeypatch, points, genes)
+        assert summed
+        assert (improved is not chrom) == kept
+        if not kept:
+            assert improved.cached_fitness is chrom.cached_fitness
+
+    def test_clear_gain_skips_the_exact_total(self, monkeypatch):
+        points = [[10.0, 0.0], [0.0, 0.0], [2.0, 0.0], [10.0, 2.0], [12.0, 0.0]]
+        improved, chrom, summed = self._improve(monkeypatch, points, "10111")
+        assert not summed
+        assert improved.genes_string() == "10011" and chrom.cached_fitness is None
+        assert improved.cached_fitness < chromosome_fitness(np.array(points), chrom).total
+
+    def test_oracle_run_takes_both_paths(self, monkeypatch):
+        outcomes = []
+        decide = clustering.FitnessBreakdown.total_at_least
+        monkeypatch.setattr(
+            clustering.FitnessBreakdown, "total_at_least",
+            lambda self, value: outcomes.append(decide(self, value)) or outcomes[-1],
+        )
+        # a coarse grid, so that ties and rejections come up
+        points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
+        knobs = {"population_size": 12, "seed": 0, "doldrum_factor": 2, "max_generations": 300}
+        result = run_hga(points, HgaConfig(**knobs))
+        fitness, genes, trace, terminated_by = python_run_hga(points.tolist(), **knobs)
+        assert result.best_fitness.hex() == fitness.hex()
+        assert result.best_chromosome.genes.tolist() == genes
+        assert [value.hex() for value in result.min_fitness_trace] == [v.hex() for v in trace]
+        assert (result.generations_run, result.terminated_by) == (len(trace), terminated_by)
+        # decided by the bound, and left to the exact total
+        assert outcomes.count(True) > 0 and outcomes.count(False) > 0
+
+
+def scalar_generation(rng, size, n, mutation):
+    """One generation's draws by scalar calls, in the GA's order."""
+    draws = [int(rng.integers(size)), int(rng.integers(size - 1)), int(rng.integers(1, n))]
+    for _ in range(2 * mutation):
+        draws += [int(rng.integers(n)), int(rng.integers(n - 1))]
+    return draws
+
+
+class TestBlockDraws:
+    """One array-bound ``integers`` call per block gives the scalar stream exactly."""
+
+    # 2**31 + 1 rejects about half of its 32-bit halves; 2**32 - 1 is the largest
+    # bound of one half; 2**32 and 2**40 take 64-bit words
+    BOUNDS = [2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**40]
+
+    @pytest.mark.parametrize("mutation", [True, False], ids=["mutation", "no-mutation"])
+    @pytest.mark.parametrize("size", BOUNDS)
+    @pytest.mark.parametrize("n", BOUNDS)
+    def test_equal_scalar_draws(self, n, size, mutation):
+        generations = 2 * hga._DRAW_BLOCK
+        for seed in range(20):
+            block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            # init's uint8 draws: 1 to 8 genes leave a spare 32-bit half or not
+            for rng in (block, scalar):
+                rng.integers(0, 2, size=1 + seed % 8, dtype=np.uint8)
+            draws = hga._draws(block, size, n, mutation)
+            assert [next(draws) for _ in range(generations)] == [
+                scalar_generation(scalar, size, n, mutation) for _ in range(generations)
+            ]
+            assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_rejected_halves_are_redrawn(self):
+        block, stepped = np.random.default_rng(5), np.random.default_rng(5)
+        draws = hga._draws(block, 2**31 + 1, 3, False)
+        for _ in range(hga._DRAW_BLOCK):
+            next(draws)
+        taken = 3 * hga._DRAW_BLOCK
+        for halves in range(4 * taken):
+            if stepped.bit_generator.state == block.bit_generator.state:
+                break
+            stepped.integers(2**32, dtype=np.uint64)  # exactly one 32-bit half
+        else:
+            pytest.fail("the block's state is not a whole number of 32-bit halves ahead")
+        assert halves > taken
+
+
 class TestSteadyStateReplace:
     def _population(self, fitnesses):
-        chroms = [Chromosome(np.array([0, 1, 0], dtype=np.uint8)) for _ in fitnesses]
-        return Population(chroms, np.array(fitnesses, dtype=np.float64))
+        genes = np.tile(np.array([0, 1, 0], dtype=np.uint8), (len(fitnesses), 1))
+        return Population(genes, np.array(fitnesses, dtype=np.float64))
 
     def test_strict_improvement_replaces_worst(self):
         pop = self._population([5.0, 3.0, 4.0, 1.0])
-        offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8))
+        offspring = row("110")
         assert steady_state_replace(pop, offspring, 3.0)
         assert pop.max_fitness == 4.0
-        assert pop.chromosomes[0] is offspring
-        assert offspring.cached_fitness is None  # the population holds the fitness
+        assert text(pop.genes[0]) == "110"
+        offspring[:] = 0  # the population holds a copy
+        assert text(pop.genes[0]) == "110"
 
     def test_tie_leaves_population_unchanged(self):
         pop = self._population([5.0, 3.0])
-        offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8))
-        assert not steady_state_replace(pop, offspring, 5.0)
+        assert not steady_state_replace(pop, row("110"), 5.0)
         assert pop.fitness.tolist() == [5.0, 3.0]
+        assert [text(genes) for genes in pop.genes] == ["010", "010"]
 
     def test_two_offspring_evict_two_worst(self):
         pop = self._population([5.0, 3.0, 4.0, 1.0])
-        first = Chromosome(np.array([1, 0, 0], dtype=np.uint8))
-        second = Chromosome(np.array([0, 0, 1], dtype=np.uint8))
-        assert steady_state_replace(pop, first, 2.0)
-        assert steady_state_replace(pop, second, 3.5)  # compared against the updated max
+        assert steady_state_replace(pop, row("100"), 2.0)
+        assert steady_state_replace(pop, row("001"), 3.5)  # compared against the updated max
         assert sorted(pop.fitness.tolist()) == [1.0, 2.0, 3.0, 3.5]
+        assert [text(genes) for genes in pop.genes] == ["100", "010", "001", "010"]
 
     def test_lowest_index_replaced_on_shared_maximum(self):
         pop = self._population([4.0, 4.0, 1.0])
-        offspring = Chromosome(np.array([1, 0, 1], dtype=np.uint8))
-        steady_state_replace(pop, offspring, 0.5)
+        steady_state_replace(pop, row("101"), 0.5)
         assert pop.fitness.tolist() == [0.5, 4.0, 1.0]
 
     @settings(max_examples=200)
     @given(st.lists(FITNESS, min_size=2, max_size=8), st.lists(FITNESS, max_size=20))
     def test_matches_a_list_oracle(self, initial, stream):
         # the oracle: the first maximum is the worst, replaced only on a strict decrease
-        pop = self._population(initial)
-        expected = list(initial)
-        for value in stream:
-            offspring = Chromosome(np.array([1, 1, 0], dtype=np.uint8))
+        pop = Population(np.zeros((len(initial), 5), dtype=np.uint8), np.array(initial))
+        expected, rows = list(initial), [[0] * 5 for _ in initial]
+        for step, value in enumerate(stream, start=1):
+            offspring = [(step >> bit) & 1 for bit in range(5)]  # a distinct row per step
             worst = expected.index(max(expected))
             accepted = value < expected[worst]
             if accepted:
-                expected[worst] = value
-            assert steady_state_replace(pop, offspring, value) == accepted
+                expected[worst], rows[worst] = value, offspring
+            assert steady_state_replace(pop, np.array(offspring, dtype=np.uint8), value) == accepted
             assert pop.fitness.tolist() == expected
-            assert (pop.chromosomes[worst] is offspring) == accepted
+            assert pop.genes.tolist() == rows
 
 
 class TestRunHga:
