@@ -6,19 +6,18 @@ A chromosome assigns each projected point to cluster 0 (low risk) or 1
 lower is better. A chromosome that leaves either cluster empty gets
 fitness +inf so it loses every replacement comparison.
 
-The two-cluster geometry is written once: :meth:`SplitPoints.distances`
-measures every point against both centroids in one (2, n) pass, and
-:func:`nearest` turns its two rows into one branch-free reassignment pass. The
+The two-cluster geometry is written once, for a (B, n) block of gene rows:
+:func:`fitness_block` measures every point against both centroids of every row in
+one (B, 2, n) pass (:func:`chromosome_fitness` is its one-row case), and
+:func:`nearest` turns two distance rows into one branch-free reassignment pass. The
 GA's improvement step runs it once on its own evaluation's distances; k-means
-repeats it until no point moves. Evaluating a chromosome does not modify it:
-``Chromosome.cached_fitness`` has one writer, the GA's improvement step.
+repeats it until no point moves. Evaluating a chromosome does not modify it.
 
-Sums are correctly rounded, with math.fsum's bits, so fitness values and the
-k-means traces do not depend on evaluation order and match an independently
-coded oracle exactly. The coordinates are split into exact pieces once per run
-(:class:`SplitPoints`), so both centroids' partials are one exact mat-vec; distance
-sums use the same extraction from SUM_CROSSOVER values on, and fsum below, when
-:attr:`FitnessBreakdown.total` is first read: the GA's guard rarely needs it.
+Sums are correctly rounded, with math.fsum's bits, so fitness values and the k-means
+traces do not depend on evaluation order or block size and match an independently coded
+oracle exactly. The points are split into exact pieces once per run (:class:`SplitPoints`),
+so a block's centroid partials are one product, exact in any order; a total is summed on
+first read, by the same extraction from SUM_CROSSOVER values on and by fsum below.
 """
 
 from __future__ import annotations
@@ -118,9 +117,9 @@ def _side_sums(low: list, high: list, rest: np.ndarray | None, genes: np.ndarray
 class SplitPoints:
     """Points held once as a (2, n) ``coords`` array, each axis split by :func:`_extract`.
 
-    ``pieces`` stacks x's ``rows[0]`` rows, y's rows and a row of ones: ``pieces @
-    genes`` is the high cluster's exact partials and size, ``totals`` minus it the
-    low cluster's. ``rest`` is each axis's remainder, None if zero (the usual case).
+    ``pieces`` stacks x's ``rows[0]`` rows, y's rows and a row of ones: ``genes @
+    pieces.T`` holds each gene row's high-cluster exact partials and size, ``totals``
+    minus it the low cluster's. ``rest`` is each axis's remainder, None if zero (the usual case).
     """
 
     def __init__(self, xy: np.ndarray) -> None:
@@ -130,19 +129,26 @@ class SplitPoints:
         self.totals = self.pieces.sum(axis=1)
         self.rest = [x_rest, y_rest]
 
-    def centroids(self, genes: np.ndarray) -> list[tuple[float, float] | None]:
-        """Mean of cluster 0 and of cluster 1 under ``genes``; None if empty."""
-        high = self.pieces @ genes
-        low, high, k = (self.totals - high).tolist(), high.tolist(), self.rows[0]
-        x = _side_sums(low[:k], high[:k], self.rest[0], genes)
-        y = _side_sums(low[k:-1], high[k:-1], self.rest[1], genes)
-        return [(sx / n, sy / n) if n else None for sx, sy, n in zip(x, y, (low[-1], high[-1]))]
+    def centroids(self, genes: np.ndarray) -> list:
+        """Mean of cluster 0 and of cluster 1 under ``genes``, None if empty; for a (B, n)
+        block, one such pair per row, all rows' exact partials from one product."""
+        block = np.atleast_2d(genes)
+        high, k, means = block @ self.pieces.T, self.rows[0], []
+        for low, high, row in zip((self.totals - high).tolist(), high.tolist(), block):
+            x = _side_sums(low[:k], high[:k], self.rest[0], row)
+            y = _side_sums(low[k:-1], high[k:-1], self.rest[1], row)
+            counts = (low[-1], high[-1])
+            means.append([(sx / n, sy / n) if n else None for sx, sy, n in zip(x, y, counts)])
+        return means if genes.ndim == 2 else means[0]
 
-    def distances(self, centroids: list) -> np.ndarray:
-        """Row j: every point's Euclidean distance to ``centroids[j]``, both rows in one pass."""
-        c = np.array(centroids)
-        d = np.square(self.coords[0] - c[:, :1])
-        d += np.square(self.coords[1] - c[:, 1:])
+    def distances(self, centroids) -> np.ndarray:
+        """Row j: each point's Euclidean distance to ``centroids[j]``, both rows in one pass, or
+        (B, 2, n) for B pairs; an infinite coordinate less an infinite centroid is NaN, silently."""
+        c = np.asarray(centroids, dtype=np.float64)[..., None]
+        with np.errstate(invalid="ignore"):
+            d, dy = self.coords[0] - c[..., 0, :], self.coords[1] - c[..., 1, :]
+        np.square(d, out=d)
+        d += np.square(dy, out=dy)
         return np.sqrt(d, out=d)
 
 
@@ -165,6 +171,15 @@ def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     return _side_sums(low, high, r, mask)
 
 
+def fitness_block(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, list]:
+    """A (B, n) block's (B, 2, n) distances, NaN to an empty cluster, and each row's breakdown."""
+    means = split.centroids(genes)
+    d = split.distances([[c or (math.nan, math.nan) for c in pair] for pair in means])
+    own = np.where(genes.view(np.bool_), d[:, 1], d[:, 0])
+    return d, [FitnessBreakdown(*((None, None) if None in pair else (dist, mine)), row)
+               for pair, dist, mine, row in zip(means, d, own, genes)]
+
+
 def chromosome_fitness(
     points: SplitPoints | ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
@@ -176,11 +191,7 @@ def chromosome_fitness(
     n = split.coords.shape[1]
     if chrom.genes.size != n:
         raise ContractError(f"chromosome length {chrom.genes.size} != point count {n}")
-    centroids = split.centroids(chrom.genes)
-    if None in centroids:
-        return FitnessBreakdown(None, None, chrom.genes)
-    d = split.distances(centroids)
-    return FitnessBreakdown(d, np.where(chrom.genes.view(np.bool_), d[1], d[0]), chrom.genes)
+    return fitness_block(split, chrom.genes[None])[1][0]
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:

@@ -10,18 +10,23 @@ minimum fitness, or at the max_generations safety cap.
 
 All randomness flows from a single numpy PCG64 generator seeded with the
 run seed, so a run is a pure function of (points, config); the loop takes
-its draws in blocks (:func:`_draws`). Children are scored as Chromosomes, and
-only :func:`deterministic_improvement` writes ``Chromosome.cached_fitness``.
+its draws in blocks (:func:`_draws`), and no draw depends on the data. The loop
+scores K generations at a time, then applies them in order (:func:`_block_offspring`);
+a generation whose parent row was replaced earlier in its block takes the row path
+(:func:`_generation`), as all do when two children pass BLOCK_CELLS. Fitness is a pure
+function of the genes, so every result is bit-identical to the row path's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .clustering import Chromosome, SplitPoints, as_points, chromosome_fitness, nearest
+from .clustering import Chromosome, SplitPoints, as_points, chromosome_fitness, fitness_block
+from .clustering import nearest
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
@@ -32,6 +37,7 @@ TraceSink = Callable[[int, float, float], None]
 MEMO_BUDGET_BYTES = 16 * 2**20
 MEMO_ENTRY_OVERHEAD = 100
 _DRAW_BLOCK = 64  # generations whose draws one ``integers`` call takes
+BLOCK_CELLS = 2**13  # gene cells (rows x points) one block scoring pass takes
 
 
 @dataclass
@@ -84,7 +90,8 @@ def init_population(
     rng: np.random.Generator,
     memo: dict[bytes, float] | None = None,
 ) -> Population:
-    """Fair-coin chromosomes, all evaluated (and optionally improved with ``memo``).
+    """Fair-coin chromosomes, one draw per row, evaluated (and optionally improved with
+    ``memo``) in blocks of BLOCK_CELLS cells.
 
     If every chromosome leaves a cluster empty, no child could ever
     replace one (``inf < inf`` is false), so gene 0 of chromosome 0 is
@@ -96,13 +103,16 @@ def init_population(
     if n < 2:
         raise ContractError("need at least 2 points")
     size, improve = config.population_size, config.improve_initial_population
+    memo = {} if memo is None else memo
     try:
         pop = Population(np.empty((size, n), dtype=np.uint8), np.empty(size))
     except (MemoryError, ValueError) as exc:  # past the memory, or past numpy's size limit
         raise InputError(f"population_size {size} is too large for {n} points") from exc
     for i in range(size):
-        genes = rng.integers(0, 2, size=n, dtype=np.uint8)
-        pop.genes[i], pop.fitness[i] = _scored(split, genes, improve, memo)
+        pop.genes[i] = rng.integers(0, 2, size=n, dtype=np.uint8)
+    for start in range(0, size, chunk := max(1, BLOCK_CELLS // n)):
+        rows = slice(start, start + chunk)
+        pop.genes[rows], pop.fitness[rows] = _scored_block(split, pop.genes[rows], improve, memo)
     if np.isinf(pop.fitness).all():
         pop.genes[0, 0] ^= 1
         pop.fitness[0] = chromosome_fitness(split, Chromosome(pop.genes[0])).total
@@ -142,50 +152,53 @@ def two_point_mutation(genes: np.ndarray, positions: tuple[int, int]) -> None:
     genes[second] ^= 1
 
 
-def deterministic_improvement(
-    points, chrom: Chromosome, memo: dict[bytes, float] | None = None
-) -> Chromosome:
-    """One nearest-centroid reassignment pass with guarded acceptance.
+def deterministic_improvement(points, chrom: Chromosome, memo: dict | None = None) -> Chromosome:
+    """One nearest-centroid reassignment pass with guarded acceptance: :func:`_improve` on one row.
 
-    The input is evaluated once; :func:`nearest` reads the candidate off that
-    evaluation's distances. The candidate is kept only if its fitness does not
-    exceed the input's (summed only if :meth:`FitnessBreakdown.total_at_least`
-    cannot tell), so this step never makes a chromosome worse. Otherwise, or when
-    no point moves or a cluster is empty, the input comes back with its fitness.
-
-    ``memo`` maps a candidate's packed genes to its fitness total. The pass
-    pulls most children of a run onto a few local optima, so the GA passes
-    one memo per run and looks a repeated candidate up: fitness is a pure
-    function of (points, genes), so a hit gives an evaluation's bits. Only
-    candidates are stored, up to :data:`MEMO_BUDGET_BYTES`.
+    The input is evaluated once; :func:`nearest` reads the candidate off that evaluation's
+    distances. A kept candidate comes back with its fitness; otherwise, or when no point
+    moves or a cluster is empty, the input comes back with its fitness in ``cached_fitness``.
     """
-    if memo is None:
-        memo = {}
     split = as_points(points)
     base = chromosome_fitness(split, chrom)
-    new_genes = chrom.genes if base.distances is None else nearest(*base.distances, chrom.genes)
-    if new_genes.tobytes() != chrom.genes.tobytes():
-        key = np.packbits(new_genes).tobytes()
-        total = memo.get(key)
-        if total is None:
-            total = chromosome_fitness(split, Chromosome(new_genes)).total
-            if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) <= MEMO_BUDGET_BYTES:
-                memo[key] = total
-        if base.total_at_least(total) or total <= base.total:
-            return Chromosome(new_genes, total)
-    chrom.cached_fitness = base.total
+    genes = chrom.genes[None]
+    cand = genes if base.distances is None else nearest(*base.distances, chrom.genes)[None]
+    score = lambda rows: [chromosome_fitness(split, Chromosome(row)).total for row in rows]
+    ((kept, fitness),) = _improve(genes, cand, [base], score, {} if memo is None else memo)
+    if kept:
+        return Chromosome(cand[0], fitness)
+    chrom.cached_fitness = fitness
     return chrom
 
 
-def _scored(
-    split: SplitPoints, genes: np.ndarray, improve: bool, memo: dict[bytes, float] | None
-) -> tuple[np.ndarray, float]:
-    """``genes`` improved with ``memo``, or ``genes`` themselves, and their fitness."""
-    chrom = Chromosome(genes)
-    if improve:
-        chrom = deterministic_improvement(split, chrom, memo)
-        return chrom.genes, chrom.cached_fitness
-    return genes, chromosome_fitness(split, chrom).total
+def _improve(genes, cands, bases, score, memo) -> list[tuple[bool, float]]:
+    """The improvement rule: whether each gene row keeps its candidate, and the fitness it keeps.
+
+    A candidate (``cands``) that moves a point is kept if its fitness does not exceed its
+    row's (``bases``; summed only if :meth:`FitnessBreakdown.total_at_least` cannot tell).
+    ``memo`` maps packed candidates to their totals (the pass pulls most children onto a few
+    local optima); distinct misses go to one ``score(rows)`` call, kept to MEMO_BUDGET_BYTES.
+    """
+    keys = [np.packbits(c).tobytes() if m else None for c, m in zip(cands, (cands != genes).any(1))]
+    misses = {key: b for b, key in enumerate(keys) if key is not None and key not in memo}
+    found = dict(zip(misses, score(cands[list(misses.values())]))) if misses else {}
+    for key, total in found.items():
+        if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) <= MEMO_BUDGET_BYTES:
+            memo[key] = total
+    totals = [None if key is None else found[key] if key in found else memo[key] for key in keys]
+    kept = [t is not None and (b.total_at_least(t) or t <= b.total) for b, t in zip(bases, totals)]
+    return [(keep, total if keep else b.total) for keep, total, b in zip(kept, totals, bases)]
+
+
+def _scored_block(split: SplitPoints, genes: np.ndarray, improve: bool, memo: dict) -> tuple:
+    """Each row of a (B, n) block improved with ``memo``, or the row itself, and the fitness."""
+    d, bases = fitness_block(split, genes)
+    if not improve:
+        return genes, [base.total for base in bases]
+    cands = nearest(d[:, 0], d[:, 1], genes)  # NaN distances keep a row with an empty cluster
+    score = lambda rows: _scored_block(split, rows, False, memo)[1]
+    kept, fitness = zip(*_improve(genes, cands, bases, score, memo))
+    return np.where(np.array(kept)[:, None], cands, genes), list(fitness)
 
 
 def steady_state_replace(pop: Population, genes: np.ndarray, fitness: float) -> bool:
@@ -207,13 +220,62 @@ def _draws(rng: np.random.Generator, size: int, n: int, mutation: bool) -> Itera
         yield from rng.integers(low, high).reshape(_DRAW_BLOCK, len(bounds)).tolist()
 
 
+def _generation(split, pop, draw, improve, memo) -> list[tuple[np.ndarray, float]]:
+    """One generation's two scored children on the row path, from its draws."""
+    first, second, cut, *positions = draw
+    i, j = select_parents(pop, first, second)
+    children = one_point_crossover(pop.genes[i], pop.genes[j], cut)
+    for child, pair in zip(children, (positions[:2], positions[2:])):
+        if pair:
+            two_point_mutation(child, _distinct_pair(*pair))
+    chroms = [Chromosome(child) for child in children]
+    if improve:
+        chroms = [deterministic_improvement(split, chrom, memo) for chrom in chroms]
+        return [(chrom.genes, chrom.cached_fitness) for chrom in chroms]
+    return [(chrom.genes, chromosome_fitness(split, chrom).total) for chrom in chroms]
+
+
+def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Rows 2g and 2g + 1: the children of draws ``block[g]``, as the row path builds them."""
+    pair = np.stack(_distinct_pair(block[:, 0], block[:, 1]), 1)
+    head = np.arange(genes.shape[1]) < block[:, 2, None, None]
+    children = np.where(head, genes[pair], genes[pair[:, ::-1]]).reshape(2 * len(block), -1)
+    if block.shape[1] > 3:
+        flips = np.stack(_distinct_pair(*block[:, 3:].reshape(-1, 2).T), 1)
+        children[np.arange(len(children))[:, None], flips] ^= 1
+    return children
+
+
+def _block_offspring(split, pop, draws, k, improve, memo) -> Iterator[list]:
+    """Each generation's two children, scored ``k`` generations at a time; one whose parent row's
+    fitness changed since (a replacement lowers it), or whose block raised, takes the row path."""
+    while True:
+        draw_rows = list(islice(draws, k))
+        block = np.array(draw_rows)
+        parents = _distinct_pair(block[:, 0], block[:, 1])
+        before = [pop.fitness[rows].tolist() for rows in parents]
+        try:
+            genes, fitness = _scored_block(split, _children(pop.genes, block), improve, memo)
+        except (OverflowError, ValueError):
+            genes = None
+        for g, (draw, i, j, fi, fj) in enumerate(zip(draw_rows, *parents, *before)):
+            if genes is None or pop.fitness[i] != fi or pop.fitness[j] != fj:
+                yield _generation(split, pop, draw, improve, memo)
+            else:
+                yield [(genes[2 * g], fitness[2 * g]), (genes[2 * g + 1], fitness[2 * g + 1])]
+
+
 def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> HgaResult:
     """Run the full loop; deterministic given (points, config)."""
     split = as_points(points)
     rng = np.random.default_rng(config.seed)
     memo: dict[bytes, float] = {}
     pop = init_population(split, config, rng, memo)
-    draws = _draws(rng, *pop.genes.shape, config.mutation_enabled)
+    (size, n), improve = pop.genes.shape, config.improvement_enabled
+    draws = _draws(rng, size, n, config.mutation_enabled)
+    k = min(64, max(2, size // 8), BLOCK_CELLS // (2 * n))  # stale share grows as k / size
+    offspring = _block_offspring(split, pop, draws, k, improve, memo) if k else (
+        _generation(split, pop, draw, improve, memo) for draw in draws)
 
     window = config.doldrum_factor * config.population_size
     doldrum = 0
@@ -224,13 +286,8 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
 
     while generation < config.max_generations:
         generation += 1
-        first, second, cut, *positions = next(draws)
-        i, j = select_parents(pop, first, second)
-        children = one_point_crossover(pop.genes[i], pop.genes[j], cut)
-        for child, pair in zip(children, (positions[:2], positions[2:])):
-            if pair:
-                two_point_mutation(child, _distinct_pair(*pair))
-            steady_state_replace(pop, *_scored(split, child, config.improvement_enabled, memo))
+        for genes, fitness in next(offspring):
+            steady_state_replace(pop, genes, fitness)
 
         new_min = pop.min_fitness
         if new_min < current_min:

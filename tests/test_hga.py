@@ -297,8 +297,7 @@ class TestOnDemandTotal:
 
         monkeypatch.setattr(hga, "chromosome_fitness", spy)
         chrom = bits(genes)
-        with np.errstate(invalid="ignore"):  # inf - inf on the infinite centroid
-            improved = deterministic_improvement(np.array(points), chrom)
+        improved = deterministic_improvement(np.array(points), chrom)
         return improved, chrom, "total" in bases[0].__dict__
 
     @pytest.mark.parametrize(
@@ -540,6 +539,55 @@ class TestImprovementMemo:
         assert memo == {np.packbits(first.genes).tobytes(): 4.0}
 
 
+@st.composite
+def gene_blocks(draw):
+    """Points on a coarse grid (ties) or wide floats, and a block of gene rows: random, all-0 and
+    all-1 (an empty cluster), and repeats of them (one memo entry for each distinct candidate)."""
+    n = draw(st.integers(2, 12))
+    grid = st.integers(-3, 3).map(lambda v: v / 2)
+    coord = draw(st.sampled_from([grid, st.floats(-1e6, 1e6, allow_nan=False)]))
+    points = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    gene_row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = draw(st.lists(gene_row | st.sampled_from([[0] * n, [1] * n]), min_size=1, max_size=10))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return points, np.array(rows, dtype=np.uint8)
+
+
+class TestBlockEqualsRow:
+    """A block of rows scored by the block path gives each row's one-row genes and bits."""
+
+    @settings(max_examples=300)
+    @given(gene_blocks(), st.booleans(), st.booleans())
+    @example((TWO_PAIRS, np.array([[0, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1]],
+                                  dtype=np.uint8)), False, False)
+    def test_block_matches_rows(self, case, prefill, undecided):
+        points, genes = case
+        split = clustering.as_points(points)
+        memos = [{}, {}]  # block, rows
+        if prefill:  # candidates of every other row already known
+            for row in genes[::2]:
+                deterministic_improvement(split, Chromosome(row.copy()), memos[0])
+            memos[1].update(memos[0])
+        scored = {"block": 0, "rows": 0}
+        block_fitness, row_fitness = hga.fitness_block, hga.chromosome_fitness
+        with pytest.MonkeyPatch.context() as patch:
+            if undecided:  # every guard left to the exact totals
+                patch.setattr(clustering.FitnessBreakdown, "total_at_least", lambda self, v: False)
+            patch.setattr(hga, "fitness_block", lambda split, g: scored.update(
+                block=scored["block"] + len(g)) or block_fitness(split, g))
+            patch.setattr(hga, "chromosome_fitness", lambda split, c: scored.update(
+                rows=scored["rows"] + 1) or row_fitness(split, c))
+            block_genes, fitness = hga._scored_block(split, genes.copy(), True, memos[0])
+            rows = [deterministic_improvement(split, Chromosome(g.copy()), memos[1]) for g in genes]
+        assert block_genes.tolist() == [row.genes.tolist() for row in rows]
+        assert [value.hex() for value in fitness] == [row.cached_fitness.hex() for row in rows]
+        # each distinct missing candidate is scored once, and stored as the rows store it
+        assert scored["block"] == scored["rows"] and memos[0] == memos[1]
+        totals = hga._scored_block(split, genes, False, {})[1]
+        assert [t.hex() for t in totals] == [chromosome_fitness(split, Chromosome(g)).total.hex()
+                                             for g in genes]
+
+
 def _run_signature(result):
     return (
         result.best_fitness.hex(),
@@ -570,31 +618,35 @@ class TestRunHgaMemo:
         entry = (len(projected.points) + 7) // 8 + hga.MEMO_ENTRY_OVERHEAD
         monkeypatch.setattr(hga, "MEMO_BUDGET_BYTES", 5 * entry)
         sizes = []
+        improve = hga._improve  # the rule of both the block and the row path
 
-        def spy(points, chrom, memo=None):
-            result = deterministic_improvement(points, chrom, memo)
+        def spy(genes, cands, bases, score, memo):
+            result = improve(genes, cands, bases, score, memo)
             sizes.append(len(memo))
             return result
 
-        monkeypatch.setattr(hga, "deterministic_improvement", spy)
+        monkeypatch.setattr(hga, "_improve", spy)
         assert self._runs(projected) == with_memo
         assert max(sizes) == 5
 
     def test_memo_saves_fitness_calls(self, prepared, monkeypatch):
+        # rows scored and rows improved, by the block path's kernel and rule and the row path's
         *_, projected = prepared
         calls = {"fitness": 0, "improve": 0}
 
-        def counted(name, fn):
+        def counted(name, fn, rows):
             def wrapper(*args):
-                calls[name] += 1
+                calls[name] += rows(args)
                 return fn(*args)
 
             return wrapper
 
-        monkeypatch.setattr(hga, "chromosome_fitness", counted("fitness", chromosome_fitness))
-        monkeypatch.setattr(
-            hga, "deterministic_improvement", counted("improve", deterministic_improvement)
-        )
+        for attribute, name, rows in [
+            ("chromosome_fitness", "fitness", lambda args: 1),
+            ("fitness_block", "fitness", lambda args: len(args[1])),
+            ("_improve", "improve", lambda args: len(args[0])),
+        ]:
+            monkeypatch.setattr(hga, attribute, counted(name, getattr(hga, attribute), rows))
         config = HgaConfig(population_size=20, seed=0)
         run_hga(projected, config)
         assert calls["improve"] > 0
@@ -640,6 +692,51 @@ class TestRunHgaOracle:
         assert result.best_chromosome.genes.tolist() == genes
         assert [value.hex() for value in result.min_fitness_trace] == [v.hex() for v in trace]
         assert (result.generations_run, result.terminated_by) == (len(trace), terminated_by)
+
+
+class TestGenerationBlocks:
+    """The loop scores generations in blocks; stale ones and every one past the cell cap take
+    the row path. Both kinds must occur for the oracle comparisons to cover them."""
+
+    @staticmethod
+    def _oracle_runs(monkeypatch, points, seeds, **knobs):
+        """Per seed, (generations run, generations on the row path); each run matches the oracle."""
+        row_path = []
+        generation = hga._generation
+        monkeypatch.setattr(hga, "_generation", lambda *a: row_path.append(1) or generation(*a))
+        counts = []
+        for seed in seeds:
+            row_path.clear()
+            result = run_hga(points, HgaConfig(seed=seed, **knobs))
+            expected = python_run_hga(points.tolist(), seed=seed, **knobs)
+            fitness, genes, trace, terminated_by = expected
+            assert result.best_fitness.hex() == fitness.hex()
+            assert result.best_chromosome.genes.tolist() == genes
+            assert [value.hex() for value in result.min_fitness_trace] == [v.hex() for v in trace]
+            assert (result.generations_run, result.terminated_by) == (len(trace), terminated_by)
+            counts.append((result.generations_run, len(row_path)))
+        return counts
+
+    def test_blocks_and_stale_generations_match_the_oracle(self, monkeypatch):
+        # a coarse grid, so that ties and rejections come up; K = 2 at population 12
+        points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
+        counts = self._oracle_runs(monkeypatch, points, range(4), population_size=12)
+        generations, stale = map(sum, zip(*counts))
+        assert 0 < stale < generations  # some generations were stale, most came from blocks
+
+    def test_past_the_cell_cap_every_generation_takes_the_row_path(self, monkeypatch):
+        n = hga.BLOCK_CELLS // 2 + 1  # two children pass the cap, so K = 0
+        points = np.random.default_rng(1).normal(0, 3, size=(n, 2))
+        counts = self._oracle_runs(monkeypatch, points, [0], population_size=3, max_generations=3)
+        assert counts == [(3, 3)]
+
+    def test_an_infinite_coordinate_scores_nan_without_a_warning(self, monkeypatch):
+        # inf - inf against the infinite centroid: every two-sided row scores NaN, so no
+        # child ever replaces one; the suite turns any RuntimeWarning into an error
+        points = np.random.default_rng(2).normal(size=(12, 2))
+        points[3, 0] = math.inf
+        counts = self._oracle_runs(monkeypatch, points, [0], population_size=8)
+        assert counts == [(16, 16)]  # NaN parents never compare equal: all rebuilt
 
 
 class TestRunHgaFrozen:
