@@ -175,9 +175,12 @@ def fitness_block(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, li
     """A (B, n) block's (B, 2, n) distances, NaN to an empty cluster, and each row's breakdown."""
     means = split.centroids(genes)
     d = split.distances([[c or (math.nan, math.nan) for c in pair] for pair in means])
-    own = np.where(genes.view(np.bool_), d[:, 1], d[:, 0])
+    bits = d.view(np.int64)  # own: d[:, 1]'s bits where the gene is 1, else d[:, 0]'s; no branch
+    own = np.negative(genes, dtype=np.int64)
+    own &= bits[:, 0] ^ bits[:, 1]
+    own ^= bits[:, 0]
     return d, [FitnessBreakdown(*((None, None) if None in pair else (dist, mine)), row)
-               for pair, dist, mine, row in zip(means, d, own, genes)]
+               for pair, dist, mine, row in zip(means, d, own.view(np.float64), genes)]
 
 
 def chromosome_fitness(

@@ -9,12 +9,11 @@ consecutive generations without a strict decrease of the population
 minimum fitness, or at the max_generations safety cap.
 
 All randomness flows from a single numpy PCG64 generator seeded with the
-run seed, so a run is a pure function of (points, config); the loop takes
-its draws in blocks (:func:`_draws`), and no draw depends on the data. The loop
-scores K generations at a time, then applies them in order (:func:`_block_offspring`);
-a generation whose parent row was replaced earlier in its block takes the row path
-(:func:`_generation`), as all do when two children pass BLOCK_CELLS. Fitness is a pure
-function of the genes, so every result is bit-identical to the row path's.
+run seed, so a run is a pure function of (points, config); the loop takes its draws in
+blocks (:func:`_draws`), and no draw depends on the data. It builds and scores K
+generations' children at a time, then applies the generations in order (:func:`_offspring`);
+one whose parent row was replaced earlier in its block is rebuilt and scored alone. Fitness
+is a pure function of the genes, so every result is bit-identical to one generation at a time.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .clustering import Chromosome, SplitPoints, as_points, chromosome_fitness, fitness_block
-from .clustering import nearest
+from .clustering import Chromosome, as_points, chromosome_fitness, fitness_block, nearest
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
@@ -91,7 +89,7 @@ def init_population(
     memo: dict[bytes, float] | None = None,
 ) -> Population:
     """Fair-coin chromosomes, one draw per row, evaluated (and optionally improved with
-    ``memo``) in blocks of BLOCK_CELLS cells.
+    ``memo``) by :func:`_score_into`.
 
     If every chromosome leaves a cluster empty, no child could ever
     replace one (``inf < inf`` is false), so gene 0 of chromosome 0 is
@@ -102,17 +100,14 @@ def init_population(
     n = split.coords.shape[1]
     if n < 2:
         raise ContractError("need at least 2 points")
-    size, improve = config.population_size, config.improve_initial_population
-    memo = {} if memo is None else memo
+    size, memo = config.population_size, {} if memo is None else memo
     try:
         pop = Population(np.empty((size, n), dtype=np.uint8), np.empty(size))
     except (MemoryError, ValueError) as exc:  # past the memory, or past numpy's size limit
         raise InputError(f"population_size {size} is too large for {n} points") from exc
     for i in range(size):
         pop.genes[i] = rng.integers(0, 2, size=n, dtype=np.uint8)
-    for start in range(0, size, chunk := max(1, BLOCK_CELLS // n)):
-        rows = slice(start, start + chunk)
-        pop.genes[rows], pop.fitness[rows] = _scored_block(split, pop.genes[rows], improve, memo)
+    _score_into(split, pop.genes, pop.fitness, config.improve_initial_population, memo)
     if np.isinf(pop.fitness).all():
         pop.genes[0, 0] ^= 1
         pop.fitness[0] = chromosome_fitness(split, Chromosome(pop.genes[0])).total
@@ -190,15 +185,34 @@ def _improve(genes, cands, bases, score, memo) -> list[tuple[bool, float]]:
     return [(keep, total if keep else b.total) for keep, total, b in zip(kept, totals, bases)]
 
 
-def _scored_block(split: SplitPoints, genes: np.ndarray, improve: bool, memo: dict) -> tuple:
-    """Each row of a (B, n) block improved with ``memo``, or the row itself, and the fitness."""
+def _scored_block(split, genes: np.ndarray, improve: bool, memo: dict) -> list:
+    """Each row's fitness, a (B, n) block's rows first improved in place with ``memo`` if asked."""
     d, bases = fitness_block(split, genes)
     if not improve:
-        return genes, [base.total for base in bases]
+        return [base.total for base in bases]
     cands = nearest(d[:, 0], d[:, 1], genes)  # NaN distances keep a row with an empty cluster
-    score = lambda rows: _scored_block(split, rows, False, memo)[1]
+    score = lambda rows: _scored_block(split, rows, False, memo)
     kept, fitness = zip(*_improve(genes, cands, bases, score, memo))
-    return np.where(np.array(kept)[:, None], cands, genes), list(fitness)
+    genes[list(kept)] = cands[list(kept)]
+    return list(fitness)
+
+
+def _score_into(split, genes, fitness, improve, memo, alone=True) -> bool:
+    """:func:`_scored_block` in place over chunks of BLOCK_CELLS cells, a row at least. A chunk
+    whose exact sums fail in fsum (overflow, inf - inf) is redone a row at a time if ``alone``,
+    so the first failing row raises, as scored alone; else the call returns False."""
+    step = max(1, BLOCK_CELLS // genes.shape[1])
+    for rows in (slice(start, start + step) for start in range(0, len(genes), step)):
+        try:
+            fitness[rows] = _scored_block(split, genes[rows], improve, memo)
+        except (OverflowError, ValueError) as exc:
+            if "fsum" not in str(exc):
+                raise
+            if not alone:
+                return False
+            for i in range(*rows.indices(len(genes))):
+                fitness[i:i + 1] = _scored_block(split, genes[i:i + 1], improve, memo)
+    return True
 
 
 def steady_state_replace(pop: Population, genes: np.ndarray, fitness: float) -> bool:
@@ -220,49 +234,33 @@ def _draws(rng: np.random.Generator, size: int, n: int, mutation: bool) -> Itera
         yield from rng.integers(low, high).reshape(_DRAW_BLOCK, len(bounds)).tolist()
 
 
-def _generation(split, pop, draw, improve, memo) -> list[tuple[np.ndarray, float]]:
-    """One generation's two scored children on the row path, from its draws."""
-    first, second, cut, *positions = draw
-    i, j = select_parents(pop, first, second)
-    children = one_point_crossover(pop.genes[i], pop.genes[j], cut)
-    for child, pair in zip(children, (positions[:2], positions[2:])):
-        if pair:
-            two_point_mutation(child, _distinct_pair(*pair))
-    chroms = [Chromosome(child) for child in children]
-    if improve:
-        chroms = [deterministic_improvement(split, chrom, memo) for chrom in chroms]
-        return [(chrom.genes, chrom.cached_fitness) for chrom in chroms]
-    return [(chrom.genes, chromosome_fitness(split, chrom).total) for chrom in chroms]
-
-
 def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Rows 2g and 2g + 1: the children of draws ``block[g]``, as the row path builds them."""
-    pair = np.stack(_distinct_pair(block[:, 0], block[:, 1]), 1)
-    head = np.arange(genes.shape[1]) < block[:, 2, None, None]
-    children = np.where(head, genes[pair], genes[pair[:, ::-1]]).reshape(2 * len(block), -1)
+    """Rows 2g and 2g + 1: the children of draws ``block[g]``, as the operators build them."""
+    first, second = _distinct_pair(block[:, 0], block[:, 1])
+    children = genes[np.stack((first, second), 1).ravel()]
+    for g, (i, j, cut) in enumerate(zip(first.tolist(), second.tolist(), block[:, 2].tolist())):
+        children[2 * g, cut:], children[2 * g + 1, cut:] = genes[j, cut:], genes[i, cut:]
     if block.shape[1] > 3:
         flips = np.stack(_distinct_pair(*block[:, 3:].reshape(-1, 2).T), 1)
         children[np.arange(len(children))[:, None], flips] ^= 1
     return children
 
 
-def _block_offspring(split, pop, draws, k, improve, memo) -> Iterator[list]:
-    """Each generation's two children, scored ``k`` generations at a time; one whose parent row's
-    fitness changed since (a replacement lowers it), or whose block raised, takes the row path."""
+def _offspring(split, pop, draws, k, improve, memo) -> Iterator[zip]:
+    """Each generation's two scored children, built and scored ``k`` generations at a time. One
+    whose parent row's fitness changed since (a replacement lowers it) is stale: it is rebuilt
+    from the updated matrix and scored alone, as is each one of a block whose exact sums fail."""
     while True:
-        draw_rows = list(islice(draws, k))
-        block = np.array(draw_rows)
-        parents = _distinct_pair(block[:, 0], block[:, 1])
-        before = [pop.fitness[rows].tolist() for rows in parents]
-        try:
-            genes, fitness = _scored_block(split, _children(pop.genes, block), improve, memo)
-        except (OverflowError, ValueError):
-            genes = None
-        for g, (draw, i, j, fi, fj) in enumerate(zip(draw_rows, *parents, *before)):
-            if genes is None or pop.fitness[i] != fi or pop.fitness[j] != fj:
-                yield _generation(split, pop, draw, improve, memo)
-            else:
-                yield [(genes[2 * g], fitness[2 * g]), (genes[2 * g + 1], fitness[2 * g + 1])]
+        block = np.array(list(islice(draws, k)))
+        parents = [pair.tolist() for pair in _distinct_pair(block[:, 0], block[:, 1])]
+        children, fitness = _children(pop.genes, block), np.empty(2 * k)
+        failed = not _score_into(split, children, fitness, improve, memo, alone=False)
+        for g, (i, j, fi, fj) in enumerate(zip(*parents, *pop.fitness[parents].tolist())):
+            rows = slice(2 * g, 2 * g + 2)
+            if failed or pop.fitness[i] != fi or pop.fitness[j] != fj:
+                children[rows] = _children(pop.genes, block[g:g + 1])
+                _score_into(split, children[rows], fitness[rows], improve, memo)
+            yield zip(children[rows], fitness[rows])
 
 
 def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> HgaResult:
@@ -273,9 +271,8 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
     pop = init_population(split, config, rng, memo)
     (size, n), improve = pop.genes.shape, config.improvement_enabled
     draws = _draws(rng, size, n, config.mutation_enabled)
-    k = min(64, max(2, size // 8), BLOCK_CELLS // (2 * n))  # stale share grows as k / size
-    offspring = _block_offspring(split, pop, draws, k, improve, memo) if k else (
-        _generation(split, pop, draw, improve, memo) for draw in draws)
+    k = max(1, min(_DRAW_BLOCK, max(2, size // 8), BLOCK_CELLS // (2 * n)))  # stale ~ k / size
+    offspring = _offspring(split, pop, draws, k, improve, memo)
 
     window = config.doldrum_factor * config.population_size
     doldrum = 0

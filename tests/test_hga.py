@@ -577,13 +577,14 @@ class TestBlockEqualsRow:
                 block=scored["block"] + len(g)) or block_fitness(split, g))
             patch.setattr(hga, "chromosome_fitness", lambda split, c: scored.update(
                 rows=scored["rows"] + 1) or row_fitness(split, c))
-            block_genes, fitness = hga._scored_block(split, genes.copy(), True, memos[0])
+            block_genes = genes.copy()
+            fitness = hga._scored_block(split, block_genes, True, memos[0])
             rows = [deterministic_improvement(split, Chromosome(g.copy()), memos[1]) for g in genes]
         assert block_genes.tolist() == [row.genes.tolist() for row in rows]
         assert [value.hex() for value in fitness] == [row.cached_fitness.hex() for row in rows]
         # each distinct missing candidate is scored once, and stored as the rows store it
         assert scored["block"] == scored["rows"] and memos[0] == memos[1]
-        totals = hga._scored_block(split, genes, False, {})[1]
+        totals = hga._scored_block(split, genes, False, {})
         assert [t.hex() for t in totals] == [chromosome_fitness(split, Chromosome(g)).total.hex()
                                              for g in genes]
 
@@ -618,7 +619,7 @@ class TestRunHgaMemo:
         entry = (len(projected.points) + 7) // 8 + hga.MEMO_ENTRY_OVERHEAD
         monkeypatch.setattr(hga, "MEMO_BUDGET_BYTES", 5 * entry)
         sizes = []
-        improve = hga._improve  # the rule of both the block and the row path
+        improve = hga._improve  # the improvement rule the loop applies to every child
 
         def spy(genes, cands, bases, score, memo):
             result = improve(genes, cands, bases, score, memo)
@@ -630,7 +631,7 @@ class TestRunHgaMemo:
         assert max(sizes) == 5
 
     def test_memo_saves_fitness_calls(self, prepared, monkeypatch):
-        # rows scored and rows improved, by the block path's kernel and rule and the row path's
+        # rows scored and rows improved: the loop's kernel and rule, and init's all-empty repair
         *_, projected = prepared
         calls = {"fitness": 0, "improve": 0}
 
@@ -695,48 +696,161 @@ class TestRunHgaOracle:
 
 
 class TestGenerationBlocks:
-    """The loop scores generations in blocks; stale ones and every one past the cell cap take
-    the row path. Both kinds must occur for the oracle comparisons to cover them."""
+    """The loop builds and scores K generations' children as one block. A stale generation is
+    rebuilt and scored alone, as is every one once two children pass BLOCK_CELLS (K = 1, one row
+    per scoring pass). Both kinds must occur for the oracle comparisons to cover them."""
 
     @staticmethod
     def _oracle_runs(monkeypatch, points, seeds, **knobs):
-        """Per seed, (generations run, generations on the row path); each run matches the oracle."""
-        row_path = []
-        generation = hga._generation
-        monkeypatch.setattr(hga, "_generation", lambda *a: row_path.append(1) or generation(*a))
+        """Per seed, (generations run, generations rebuilt, generations stale) and the rows of
+        every scoring pass; each run matches the oracle. A generation is stale when one of its
+        parent rows was replaced earlier in its block, as seen by ``steady_state_replace``."""
+        events, passes = [], []
+        children, replace, scored = hga._children, hga.steady_state_replace, hga._scored_block
+
+        def spy_children(genes, block):
+            events.append(("children", list(zip(*hga._distinct_pair(block[:, 0], block[:, 1])))))
+            return children(genes, block)
+
+        def spy_replace(pop, genes, fitness):
+            worst, accepted = int(pop.fitness.argmax()), replace(pop, genes, fitness)
+            if accepted:
+                events.append(("replace", worst))
+            return accepted
+
+        monkeypatch.setattr(hga, "_children", spy_children)
+        monkeypatch.setattr(hga, "steady_state_replace", spy_replace)
+        monkeypatch.setattr(hga, "_scored_block", lambda split, genes, *a: passes.append(
+            len(genes)) or scored(split, genes, *a))
         counts = []
         for seed in seeds:
-            row_path.clear()
-            result = run_hga(points, HgaConfig(seed=seed, **knobs))
+            events.clear()
+            result = run_hga(points, HgaConfig(seed=seed, **knobs),
+                             lambda *_: events.append(("generation", None)))
             expected = python_run_hga(points.tolist(), seed=seed, **knobs)
             fitness, genes, trace, terminated_by = expected
             assert result.best_fitness.hex() == fitness.hex()
             assert result.best_chromosome.genes.tolist() == genes
             assert [value.hex() for value in result.min_fitness_trace] == [v.hex() for v in trace]
             assert (result.generations_run, result.terminated_by) == (len(trace), terminated_by)
-            counts.append((result.generations_run, len(row_path)))
-        return counts
+            pairs, g, replaced, pending, rebuilt, stale = [], 0, set(), set(), 0, 0
+            for kind, value in events:
+                if kind == "children" and g < len(pairs):  # within a block: a rebuild
+                    rebuilt += 1
+                elif kind == "children":
+                    pairs, g, replaced = value, 0, set()
+                elif kind == "replace":
+                    pending.add(value)
+                else:
+                    stale += bool(replaced & set(pairs[g]))
+                    replaced, pending, g = replaced | pending, set(), g + 1
+            counts.append((result.generations_run, rebuilt, stale))
+        return counts, passes
 
     def test_blocks_and_stale_generations_match_the_oracle(self, monkeypatch):
         # a coarse grid, so that ties and rejections come up; K = 2 at population 12
         points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
-        counts = self._oracle_runs(monkeypatch, points, range(4), population_size=12)
-        generations, stale = map(sum, zip(*counts))
+        counts, _ = self._oracle_runs(monkeypatch, points, range(4), population_size=12)
+        # finite sums never fail, so exactly the stale generations are rebuilt
+        assert all(rebuilt == stale for _, rebuilt, stale in counts)
+        generations, _, stale = map(sum, zip(*counts))
         assert 0 < stale < generations  # some generations were stale, most came from blocks
 
-    def test_past_the_cell_cap_every_generation_takes_the_row_path(self, monkeypatch):
-        n = hga.BLOCK_CELLS // 2 + 1  # two children pass the cap, so K = 0
+    def test_past_the_cell_cap_each_generation_is_a_block_of_one_row_passes(self, monkeypatch):
+        n = hga.BLOCK_CELLS // 2 + 1  # two children pass the cap, so K = 1
         points = np.random.default_rng(1).normal(0, 3, size=(n, 2))
-        counts = self._oracle_runs(monkeypatch, points, [0], population_size=3, max_generations=3)
-        assert counts == [(3, 3)]
+        counts, passes = self._oracle_runs(
+            monkeypatch, points, [0], population_size=3, max_generations=3)
+        assert counts == [(3, 0, 0)]
+        assert set(passes) == {1}  # init, children and candidates each scored a row at a time
 
     def test_an_infinite_coordinate_scores_nan_without_a_warning(self, monkeypatch):
         # inf - inf against the infinite centroid: every two-sided row scores NaN, so no
         # child ever replaces one; the suite turns any RuntimeWarning into an error
         points = np.random.default_rng(2).normal(size=(12, 2))
         points[3, 0] = math.inf
-        counts = self._oracle_runs(monkeypatch, points, [0], population_size=8)
-        assert counts == [(16, 16)]  # NaN parents never compare equal: all rebuilt
+        counts, _ = self._oracle_runs(monkeypatch, points, [0], population_size=8)
+        assert counts == [(16, 16, 0)]  # NaN parents never compare equal: all rebuilt
+
+    @staticmethod
+    def _outcome(points, config):
+        try:
+            return _run_signature(run_hga(points, config))
+        except (OverflowError, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # +-1.7e308 apart
+    def test_failing_sums_raise_as_one_row_at_a_time(self, monkeypatch):
+        # fsum overflows or meets inf - inf only for some assignments; at BLOCK_CELLS = 1 every
+        # row is scored alone, one generation at a time, which names the first failing row
+        pairs = [(math.inf, -math.inf), (1.7e308, 1.7e308), (-1.7e308, -1.7e308)]
+        seen = set()
+        for seed in range(90):
+            rng = np.random.default_rng(seed)
+            points = rng.normal(size=(12, 2))
+            points[rng.choice(12, 2, replace=False), 0] = pairs[seed % 3]
+            config = HgaConfig(population_size=2, max_generations=40, seed=seed,
+                               improve_initial_population=bool(seed % 2))
+            outcome = self._outcome(points, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(hga, "BLOCK_CELLS", 1)
+                assert outcome == self._outcome(points, config)
+            try:
+                init_population(points, config, np.random.default_rng(seed), {})
+                seen.add(outcome[0] if outcome[0].endswith("Error") else "passed")
+            except (OverflowError, ValueError):
+                pass
+        # both fsum failures came up in the loop, after a clean initial population; runs passed too
+        assert seen == {"OverflowError", "ValueError", "passed"}
+
+    def test_failing_rows_raise_in_row_order(self, monkeypatch):
+        # a kernel that fails on some gene rows, as fsum does, and names the row; the run must
+        # stop at the row, and the generation, that scoring a row at a time meets first
+        block_fitness = hga.fitness_block
+
+        def failing(split, genes):
+            for row in genes:
+                digest = hashlib.md5(row.tobytes()).hexdigest()
+                if int(digest, 16) % 50 == 0:
+                    raise OverflowError(f"intermediate overflow in fsum at {digest}")
+            return block_fitness(split, genes)
+
+        def outcome(config):
+            generations = []
+            try:
+                result = run_hga(points, config, lambda g, *_: generations.append(g))
+                return _run_signature(result), len(generations)
+            except OverflowError as exc:
+                return str(exc), len(generations)
+
+        monkeypatch.setattr(hga, "fitness_block", failing)
+        points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
+        failed_in_loop = passed = 0
+        for seed, size in itertools.product(range(40), (12, 40)):  # K = 2 and K = 5
+            config = HgaConfig(population_size=size, max_generations=200, seed=seed,
+                               improve_initial_population=bool(seed % 2))
+            result, generations = outcome(config)
+            with monkeypatch.context() as patch:
+                patch.setattr(hga, "BLOCK_CELLS", 1)
+                assert (result, generations) == outcome(config)
+            failed_in_loop += isinstance(result, str) and generations > 0
+            passed += not isinstance(result, str)
+        assert failed_in_loop and passed
+
+    @pytest.mark.parametrize("rows", [12, 4], ids=["init", "block"])
+    def test_other_errors_are_not_taken_for_failing_sums(self, rows, monkeypatch):
+        # redone a row at a time, a block would pass: the error must come out as it is
+        block_fitness = hga.fitness_block
+
+        def broken(split, genes):
+            if len(genes) == rows:  # all 12 initial rows, or a block of K = 2 generations
+                raise ValueError("operands could not be broadcast together")
+            return block_fitness(split, genes)
+
+        monkeypatch.setattr(hga, "fitness_block", broken)
+        points = np.random.default_rng(3).normal(size=(20, 2))
+        with pytest.raises(ValueError, match="broadcast"):
+            run_hga(points, HgaConfig(population_size=12, max_generations=5))
 
 
 class TestRunHgaFrozen:
