@@ -41,15 +41,14 @@ class Chromosome:
     """Length-n bit vector (0 = low-risk, 1 = high-risk cluster); equal only to itself."""
 
     genes: np.ndarray
-    cached_fitness: float | None = None
 
     def __post_init__(self) -> None:
-        genes = np.asarray(self.genes, dtype=np.uint8)
+        genes = np.asarray(self.genes)
         if genes.ndim != 1:
             raise ContractError("genes must be a 1-D vector")
-        if genes.size and genes.max() > 1:
+        if not ((genes == 0) | (genes == 1)).all():  # before the cast, which would wrap 256 to 0
             raise ContractError("genes must be 0 or 1")
-        self.genes = genes
+        self.genes = genes.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return self.genes.size
@@ -145,10 +144,10 @@ class SplitPoints:
         """Row j: each point's Euclidean distance to ``centroids[j]``, both rows in one pass, or
         (B, 2, n) for B pairs; an infinite coordinate less an infinite centroid is NaN, silently."""
         c = np.asarray(centroids, dtype=np.float64)[..., None]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # past ~1.3e154 apart the square is inf
             d, dy = self.coords[0] - c[..., 0, :], self.coords[1] - c[..., 1, :]
-        np.square(d, out=d)
-        d += np.square(dy, out=dy)
+            np.square(d, out=d)
+            d += np.square(dy, out=dy)
         return np.sqrt(d, out=d)
 
 

@@ -9,17 +9,18 @@ consecutive generations without a strict decrease of the population
 minimum fitness, or at the max_generations safety cap.
 
 All randomness flows from a single numpy PCG64 generator seeded with the
-run seed, so a run is a pure function of (points, config); the loop takes its draws in
-blocks (:func:`_draws`), and no draw depends on the data. It builds and scores K
-generations' children at a time, then applies the generations in order (:func:`_offspring`);
-one whose parent row was replaced earlier in its block is rebuilt and scored alone. Fitness
-is a pure function of the genes, so every result is bit-identical to one generation at a time.
+run seed, so a run is a pure function of (points, config). The loop runs in blocks of K
+generations: one ``integers`` call over the block's bounds takes its draws, with the values
+and final generator state of one scalar call per draw, and no draw depends on the data.
+:func:`_children` builds a block's children, one scoring pass scores them, and
+:func:`_offspring` applies the generations in order; one whose parent row was replaced
+earlier in its block is rebuilt and scored alone. Fitness is a pure function of the genes,
+so every result is bit-identical to one generation at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -34,7 +35,6 @@ TraceSink = Callable[[int, float, float], None]
 # dict slot and the bytes and float objects. The cap changes speed only.
 MEMO_BUDGET_BYTES = 16 * 2**20
 MEMO_ENTRY_OVERHEAD = 100
-_DRAW_BLOCK = 64  # generations whose draws one ``integers`` call takes
 BLOCK_CELLS = 2**13  # gene cells (rows x points) one block scoring pass takes
 
 
@@ -110,7 +110,7 @@ def init_population(
     _score_into(split, pop.genes, pop.fitness, config.improve_initial_population, memo)
     if np.isinf(pop.fitness).all():
         pop.genes[0, 0] ^= 1
-        pop.fitness[0] = chromosome_fitness(split, Chromosome(pop.genes[0])).total
+        _score_into(split, pop.genes[:1], pop.fitness[:1], False, memo)
     return pop
 
 
@@ -127,14 +127,14 @@ def select_parents(pop: Population, first: int, second: int) -> tuple[int, int]:
 
 
 def one_point_crossover(p1: np.ndarray, p2: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two fresh children: the parents with their tails after ``cut`` (1..n-1) swapped."""
+    """Two fresh children: the parents with their tails after ``cut`` (1..n-1) swapped; the
+    one-generation case of :func:`_children`."""
     n = len(p1)
     if n != len(p2):
         raise ContractError(f"parent lengths differ: {n} vs {len(p2)}")
     if not 1 <= cut <= n - 1:
         raise ContractError(f"cut must be in 1..{n - 1}, got {cut}")
-    o1, o2 = p1.copy(), p2.copy()
-    o1[cut:], o2[cut:] = p2[cut:], p1[cut:]
+    o1, o2 = _children(np.stack((p1, p2)), np.array([[0, 0, cut]]))
     return o1, o2
 
 
@@ -151,19 +151,16 @@ def deterministic_improvement(points, chrom: Chromosome, memo: dict | None = Non
     """One nearest-centroid reassignment pass with guarded acceptance: :func:`_improve` on one row.
 
     The input is evaluated once; :func:`nearest` reads the candidate off that evaluation's
-    distances. A kept candidate comes back with its fitness; otherwise, or when no point
-    moves or a cluster is empty, the input comes back with its fitness in ``cached_fitness``.
+    distances. A kept candidate comes back as a new chromosome; otherwise, or when no point
+    moves or a cluster is empty, the input comes back. The input is never modified.
     """
     split = as_points(points)
     base = chromosome_fitness(split, chrom)
     genes = chrom.genes[None]
     cand = genes if base.distances is None else nearest(*base.distances, chrom.genes)[None]
     score = lambda rows: [chromosome_fitness(split, Chromosome(row)).total for row in rows]
-    ((kept, fitness),) = _improve(genes, cand, [base], score, {} if memo is None else memo)
-    if kept:
-        return Chromosome(cand[0], fitness)
-    chrom.cached_fitness = fitness
-    return chrom
+    ((kept, _),) = _improve(genes, cand, [base], score, {} if memo is None else memo)
+    return Chromosome(cand[0]) if kept else chrom
 
 
 def _improve(genes, cands, bases, score, memo) -> list[tuple[bool, float]]:
@@ -224,16 +221,6 @@ def steady_state_replace(pop: Population, genes: np.ndarray, fitness: float) -> 
     return False
 
 
-def _draws(rng: np.random.Generator, size: int, n: int, mutation: bool) -> Iterator[list[int]]:
-    """Each generation's draws: parents below ``size`` and ``size - 1``, a cut in 1..n-1, and
-    with ``mutation`` positions below ``n`` and ``n - 1`` per child. The bounds are fixed, so one
-    ``integers`` call takes a block, with the scalar calls' values and final generator state."""
-    bounds = [(0, size), (0, size - 1), (1, n)] + [(0, n), (0, n - 1)] * 2 * mutation
-    low, high = np.tile(np.array(bounds).T, _DRAW_BLOCK)
-    while True:
-        yield from rng.integers(low, high).reshape(_DRAW_BLOCK, len(bounds)).tolist()
-
-
 def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Rows 2g and 2g + 1: the children of draws ``block[g]``, as the operators build them."""
     first, second = _distinct_pair(block[:, 0], block[:, 1])
@@ -246,14 +233,15 @@ def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
     return children
 
 
-def _offspring(split, pop, draws, k, improve, memo) -> Iterator[zip]:
-    """Each generation's two scored children, built and scored ``k`` generations at a time. One
-    whose parent row's fitness changed since (a replacement lowers it) is stale: it is rebuilt
-    from the updated matrix and scored alone, as is each one of a block whose exact sums fail."""
+def _offspring(split, pop, draw: Callable[[], np.ndarray], improve, memo) -> Iterator[zip]:
+    """Each generation's two scored children, built and scored a block of ``draw()`` (one row
+    per generation) at a time. One whose parent row's fitness changed since (a replacement
+    lowers it) is stale: it is rebuilt from the updated matrix and scored alone, as is each
+    one of a block whose exact sums fail."""
     while True:
-        block = np.array(list(islice(draws, k)))
+        block = draw()
         parents = [pair.tolist() for pair in _distinct_pair(block[:, 0], block[:, 1])]
-        children, fitness = _children(pop.genes, block), np.empty(2 * k)
+        children, fitness = _children(pop.genes, block), np.empty(2 * len(block))
         failed = not _score_into(split, children, fitness, improve, memo, alone=False)
         for g, (i, j, fi, fj) in enumerate(zip(*parents, *pop.fitness[parents].tolist())):
             rows = slice(2 * g, 2 * g + 2)
@@ -270,9 +258,13 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
     memo: dict[bytes, float] = {}
     pop = init_population(split, config, rng, memo)
     (size, n), improve = pop.genes.shape, config.improvement_enabled
-    draws = _draws(rng, size, n, config.mutation_enabled)
-    k = max(1, min(_DRAW_BLOCK, max(2, size // 8), BLOCK_CELLS // (2 * n)))  # stale ~ k / size
-    offspring = _offspring(split, pop, draws, k, improve, memo)
+    k = max(1, min(max(2, size // 8), BLOCK_CELLS // (2 * n)))  # stale ~ k / size
+    # per generation: parents below size and size - 1, a cut in 1..n-1, and with mutation
+    # positions below n and n - 1 per child
+    bounds = [(0, size), (0, size - 1), (1, n)] + [(0, n), (0, n - 1)] * 2 * config.mutation_enabled
+    low, high = np.tile(np.array(bounds).T, k)
+    draw = lambda: rng.integers(low, high).reshape(k, len(bounds))
+    offspring = _offspring(split, pop, draw, improve, memo)
 
     window = config.doldrum_factor * config.population_size
     doldrum = 0

@@ -34,6 +34,17 @@ class TestChromosome:
         breakdown = chromosome_fitness(np.eye(3, 2), a)
         assert breakdown == breakdown and breakdown != chromosome_fitness(np.eye(3, 2), a)
 
+    # checked before the uint8 cast, which would give [0, 0], [0, 1] and [1, 0]
+    @pytest.mark.parametrize("genes", [[0, 256], [0.5, 1.7], [1, 0.9]])
+    def test_non_binary_genes_are_rejected(self, genes):
+        with pytest.raises(ContractError, match="genes must be 0 or 1"):
+            Chromosome(np.array(genes))
+
+    def test_bool_and_integer_genes_are_cast(self):
+        for genes in (np.array([True, False, True]), np.array([1, 0, 1]), [1.0, 0.0, 1.0]):
+            c = Chromosome(genes)
+            assert c.genes.dtype == np.uint8 and c.genes_string() == "101"
+
 
 def centroids(pts, bits):
     return clustering.as_points(pts).centroids(chrom(bits).genes)
@@ -109,9 +120,21 @@ class TestChromosomeFitness:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(17, 2))
         c = chrom(rng.integers(0, 2, 17))
+        genes = c.genes.copy()
         first = chromosome_fitness(pts, c).total
-        assert c.cached_fitness is None  # evaluating leaves the chromosome as it was
+        # evaluating leaves the chromosome as it was
+        assert np.array_equal(c.genes, genes) and vars(c).keys() == {"genes"}
         assert chromosome_fitness(pts, c).total.hex() == first.hex()
+
+    @pytest.mark.filterwarnings("error")  # the overflowing square is meant: no warning
+    def test_a_point_past_the_square_root_of_the_largest_float_scores_inf(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [2.0, 1.0]])
+        assert chromosome_fitness(pts, chrom([0, 0, 1, 1])).total == math.inf
+        assert chromosome_fitness(pts, chrom([0, 0, 0, 1])).total == math.inf
+        # alone in its cluster, the far point adds 0 to the other cluster's finite sum
+        total = chromosome_fitness(pts, chrom([0, 0, 1, 0])).total
+        assert total.hex() == python_fitness(pts.tolist(), [0, 0, 1, 0]).hex()
+        assert math.isfinite(total)
 
     def test_oracle_equality_on_random_cases(self):
         rng = np.random.default_rng(6)
@@ -486,6 +509,14 @@ class TestKmeans:
                 later <= earlier
                 for earlier, later in zip(res.objective_trace, res.objective_trace[1:])
             )
+
+    @pytest.mark.filterwarnings("error")  # the overflowing square is meant: no warning
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_point_at_1e200_finishes_without_a_warning(self, seed):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [2.0, 1.0]])
+        res = kmeans(pts, seed)
+        assert 1 <= res.iterations < clustering.KMEANS_MAX_ITER
+        assert res.genes.tolist() in ([0, 0, 1, 0], [1, 1, 0, 1])
 
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(ContractError, match="2 clusters infeasible for 1 points"):

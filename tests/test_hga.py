@@ -229,6 +229,25 @@ class TestDeterministicImprovement:
         assert after.genes_string() == "10011"
         assert np.array_equal(before.genes, np.array([1, 0, 1, 1, 1], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "points, genes, kept",
+        [
+            ([[10, 0], [0, 0], [2, 0], [10, 2], [12, 0]], "10111", True),
+            ([[1.5, -0.5], [1.5, -1.0], [1.5, -1.5], [1.5, 1.5], [0.5, -1.5]], "11110", False),
+            (TWO_PAIRS, "0011", False),
+            (TWO_PAIRS, "1111", False),
+        ],
+        ids=["kept", "rejected", "no-move", "empty-cluster"],
+    )
+    def test_argument_is_left_as_it_was(self, points, genes, kept):
+        chrom = bits(genes)
+        array = chrom.genes
+        improved = deterministic_improvement(np.array(points, dtype=float), chrom, {})
+        assert (improved is not chrom) == kept
+        assert chrom.genes is array and chrom.genes_string() == genes
+        assert vars(chrom).keys() == {"genes"}  # nothing written onto the argument
+        assert kept == (improved.genes is not array)
+
     def test_fixed_point_returned_unchanged(self):
         c = bits("0011")
         assert deterministic_improvement(TWO_PAIRS, c) is c
@@ -278,7 +297,7 @@ class TestDeterministicImprovement:
             improved = deterministic_improvement(points, chrom, memo)
             expected_genes, expected_fitness = python_improvement(points.tolist(), genes)
             assert improved.genes.tolist() == expected_genes
-            assert improved.cached_fitness.hex() == expected_fitness.hex()
+            assert chromosome_fitness(points, improved).total.hex() == expected_fitness.hex()
             # the input itself comes back when no point moves or the candidate is rejected
             assert (improved is chrom) == (expected_genes == genes)
 
@@ -298,7 +317,7 @@ class TestOnDemandTotal:
         monkeypatch.setattr(hga, "chromosome_fitness", spy)
         chrom = bits(genes)
         improved = deterministic_improvement(np.array(points), chrom)
-        return improved, chrom, "total" in bases[0].__dict__
+        return improved, chrom, bases, "total" in bases[0].__dict__
 
     @pytest.mark.parametrize(
         "points, genes, kept",
@@ -315,18 +334,20 @@ class TestOnDemandTotal:
         ids=["tie", "rejected", "no-move", "empty-cluster", "nan", "inf"],
     )
     def test_exact_path(self, points, genes, kept, monkeypatch):
-        improved, chrom, summed = self._improve(monkeypatch, points, genes)
+        improved, chrom, bases, summed = self._improve(monkeypatch, points, genes)
         assert summed
         assert (improved is not chrom) == kept
-        if not kept:
-            assert improved.cached_fitness is chrom.cached_fitness
+        # kept on a tie, or the input: the total read back is the input's, bit for bit
+        total = chromosome_fitness(np.array(points, dtype=float), improved).total
+        assert total.hex() == bases[0].total.hex()
 
     def test_clear_gain_skips_the_exact_total(self, monkeypatch):
         points = [[10.0, 0.0], [0.0, 0.0], [2.0, 0.0], [10.0, 2.0], [12.0, 0.0]]
-        improved, chrom, summed = self._improve(monkeypatch, points, "10111")
+        improved, chrom, _, summed = self._improve(monkeypatch, points, "10111")
         assert not summed
-        assert improved.genes_string() == "10011" and chrom.cached_fitness is None
-        assert improved.cached_fitness < chromosome_fitness(np.array(points), chrom).total
+        assert improved.genes_string() == "10011" and chrom.genes_string() == "10111"
+        assert chromosome_fitness(np.array(points), improved).total < chromosome_fitness(
+            np.array(points), chrom).total
 
     def test_oracle_run_takes_both_paths(self, monkeypatch):
         outcomes = []
@@ -356,35 +377,75 @@ def scalar_generation(rng, size, n, mutation):
     return draws
 
 
+def block_draw(rng, size, n, mutation, k):
+    """``k`` generations' draws, one row each, by one array-bound call as ``run_hga`` takes them."""
+    bounds = [(0, size), (0, size - 1), (1, n)] + [(0, n), (0, n - 1)] * 2 * mutation
+    low, high = np.tile(np.array(bounds).T, k)
+    return rng.integers(low, high).reshape(k, len(bounds))
+
+
 class TestBlockDraws:
     """One array-bound ``integers`` call per block gives the scalar stream exactly."""
 
     # 2**31 + 1 rejects about half of its 32-bit halves; 2**32 - 1 is the largest
     # bound of one half; 2**32 and 2**40 take 64-bit words
     BOUNDS = [2, 3, 2**31 + 1, 2**32 - 1, 2**32, 2**40]
+    GENERATIONS = 30  # 13 and 100 do not divide it: the last block draws past the run
 
     @pytest.mark.parametrize("mutation", [True, False], ids=["mutation", "no-mutation"])
     @pytest.mark.parametrize("size", BOUNDS)
     @pytest.mark.parametrize("n", BOUNDS)
     def test_equal_scalar_draws(self, n, size, mutation):
-        generations = 2 * hga._DRAW_BLOCK
         for seed in range(20):
-            block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            scalar = np.random.default_rng(seed)
             # init's uint8 draws: 1 to 8 genes leave a spare 32-bit half or not
-            for rng in (block, scalar):
-                rng.integers(0, 2, size=1 + seed % 8, dtype=np.uint8)
-            draws = hga._draws(block, size, n, mutation)
-            assert [next(draws) for _ in range(generations)] == [
-                scalar_generation(scalar, size, n, mutation) for _ in range(generations)
-            ]
-            assert block.bit_generator.state == scalar.bit_generator.state
+            scalar.integers(0, 2, size=1 + seed % 8, dtype=np.uint8)
+            rows, states = [], []
+            for _ in range(100):
+                rows.append(scalar_generation(scalar, size, n, mutation))
+                states.append(scalar.bit_generator.state)
+            for k in (1, 2, 13, 100):
+                block = np.random.default_rng(seed)
+                block.integers(0, 2, size=1 + seed % 8, dtype=np.uint8)
+                blocks = -(-self.GENERATIONS // k)
+                drawn = [block_draw(block, size, n, mutation, k) for _ in range(blocks)]
+                assert np.concatenate(drawn).tolist() == rows[:blocks * k]
+                assert block.bit_generator.state == states[blocks * k - 1]
+
+    @pytest.mark.parametrize(
+        "size, n, k",
+        [(12, 20, 2), (104, 20, 13), (800, 20, 100), (3, hga.BLOCK_CELLS // 2 + 1, 1)],
+    )
+    def test_run_takes_one_call_per_block(self, size, n, k, monkeypatch):
+        taken, after_init = [], []
+        init, offspring = hga.init_population, hga._offspring
+
+        def spy_init(split, config, rng, memo):
+            pop = init(split, config, rng, memo)
+            after_init.append((rng, rng.bit_generator.state))
+            return pop
+
+        def spy_offspring(split, pop, draw, *rest):
+            return offspring(split, pop, lambda: taken.append(draw()) or taken[-1], *rest)
+
+        monkeypatch.setattr(hga, "init_population", spy_init)
+        monkeypatch.setattr(hga, "_offspring", spy_offspring)
+        points = np.random.default_rng(0).normal(size=(n, 2))
+        config = HgaConfig(population_size=size, doldrum_factor=100,
+                           max_generations=self.GENERATIONS)
+        assert run_hga(points, config).generations_run == self.GENERATIONS
+        assert [len(block) for block in taken] == [k] * -(-self.GENERATIONS // k)
+        ((rng, state),) = after_init
+        scalar = np.random.default_rng()
+        scalar.bit_generator.state = state
+        assert np.concatenate(taken).tolist() == [
+            scalar_generation(scalar, size, n, True) for _ in range(len(taken) * k)]
+        assert rng.bit_generator.state == scalar.bit_generator.state
 
     def test_rejected_halves_are_redrawn(self):
         block, stepped = np.random.default_rng(5), np.random.default_rng(5)
-        draws = hga._draws(block, 2**31 + 1, 3, False)
-        for _ in range(hga._DRAW_BLOCK):
-            next(draws)
-        taken = 3 * hga._DRAW_BLOCK
+        block_draw(block, 2**31 + 1, 3, False, 64)
+        taken = 3 * 64
         for halves in range(4 * taken):
             if stepped.bit_generator.state == block.bit_generator.state:
                 break
@@ -514,16 +575,22 @@ class TestImprovementMemo:
     @given(points_and_chromosomes())
     def test_memo_gives_the_same_genes_bits_and_identity(self, case):
         points, stream = case
-        memo = {}
+        split, memo = clustering.as_points(points), {}
         for genes in stream:
             plain_in = Chromosome(np.array(genes, dtype=np.uint8))
             memo_in = Chromosome(np.array(genes, dtype=np.uint8))
             plain = deterministic_improvement(points, plain_in)
             memoized = deterministic_improvement(points, memo_in, memo)
             assert np.array_equal(memoized.genes, plain.genes)
-            assert memoized.cached_fitness.hex() == plain.cached_fitness.hex()
             # the input itself comes back on a no-op or a rejection
             assert (memoized is memo_in) == (plain is plain_in)
+            # the loop's scoring pass: the memo, holding this row's candidate by now, gives an
+            # empty memo's genes and fitness bits
+            rows = np.array([genes, genes], dtype=np.uint8)
+            filled = hga._scored_block(split, rows[:1], True, memo)
+            empty = hga._scored_block(split, rows[1:], True, {})
+            assert rows[0].tolist() == rows[1].tolist() == memoized.genes.tolist()
+            assert [value.hex() for value in filled] == [value.hex() for value in empty]
 
     def test_repeated_candidate_is_looked_up(self, monkeypatch):
         calls = []
@@ -534,7 +601,7 @@ class TestImprovementMemo:
         first = deterministic_improvement(TWO_PAIRS, bits("0111"), memo)
         again = deterministic_improvement(TWO_PAIRS, bits("0111"), memo)
         assert first.genes_string() == again.genes_string() == "0011"
-        assert again.cached_fitness.hex() == first.cached_fitness.hex()
+        assert chromosome_fitness(TWO_PAIRS, again).total.hex() == (4.0).hex()
         assert len(calls) == 3  # two bases, one candidate
         assert memo == {np.packbits(first.genes).tobytes(): 4.0}
 
@@ -581,7 +648,8 @@ class TestBlockEqualsRow:
             fitness = hga._scored_block(split, block_genes, True, memos[0])
             rows = [deterministic_improvement(split, Chromosome(g.copy()), memos[1]) for g in genes]
         assert block_genes.tolist() == [row.genes.tolist() for row in rows]
-        assert [value.hex() for value in fitness] == [row.cached_fitness.hex() for row in rows]
+        assert [value.hex() for value in fitness] == [
+            chromosome_fitness(split, row).total.hex() for row in rows]
         # each distinct missing candidate is scored once, and stored as the rows store it
         assert scored["block"] == scored["rows"] and memos[0] == memos[1]
         totals = hga._scored_block(split, genes, False, {})
@@ -631,7 +699,7 @@ class TestRunHgaMemo:
         assert max(sizes) == 5
 
     def test_memo_saves_fitness_calls(self, prepared, monkeypatch):
-        # rows scored and rows improved: the loop's kernel and rule, and init's all-empty repair
+        # rows scored and rows improved: the loop's kernel and rule, and any row scored alone
         *_, projected = prepared
         calls = {"fitness": 0, "improve": 0}
 
@@ -779,7 +847,6 @@ class TestGenerationBlocks:
         except (OverflowError, ValueError) as exc:
             return type(exc).__name__, str(exc)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # +-1.7e308 apart
     def test_failing_sums_raise_as_one_row_at_a_time(self, monkeypatch):
         # fsum overflows or meets inf - inf only for some assignments; at BLOCK_CELLS = 1 every
         # row is scored alone, one generation at a time, which names the first failing row
