@@ -171,7 +171,7 @@ def _cmd_evaluate(args: argparse.Namespace, config: ExperimentConfig) -> None:
         raise InputError(f"{args.assignment}: {exc}") from None
     if not text or set(text) - {"0", "1"}:
         raise InputError(f"{args.assignment}: expected a string of 0s and 1s")
-    genes = np.array([int(c) for c in text], dtype=np.uint8)
+    genes = np.frombuffer(text.encode(), dtype=np.uint8) & 1  # "0" and "1" are 48 and 49
     if genes.size != labels.size:
         raise InputError(
             f"assignment length {genes.size} does not match dataset size {labels.size}"

@@ -16,8 +16,9 @@ repeats it until no point moves. Evaluating a chromosome does not modify it.
 Sums are correctly rounded, with math.fsum's bits, so fitness values and the k-means
 traces do not depend on evaluation order or block size and match an independently coded
 oracle exactly. The points are split into exact pieces once per run (:class:`SplitPoints`),
-so a block's centroid partials are one product, exact in any order; a total is summed on
-first read, by the same extraction from SUM_CROSSOVER values on and by fsum below.
+so a block's centroid partials are one product, exact in any order, and each (row, side,
+axis) sum is one short fsum over them. A block's totals are one extraction over its (B, n)
+distances, a sigma per row, from SUM_CROSSOVER cells on and fsum over each row below.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class Chromosome:
 
     def genes_string(self) -> str:
         """Serialized form used in reports, e.g. '01101'."""
-        return "".join("1" if g else "0" for g in self.genes)
+        return (self.genes + 48).tobytes().decode()  # 48: ord("0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,74 +72,73 @@ class FitnessBreakdown:
     def total(self) -> float:
         if self.own is None:
             return math.inf
-        low, high = _cluster_sums(self.own, self.genes.view(np.bool_))
-        return low + high
-
-    def total_at_least(self, value: float) -> bool:
-        """True if ``value <= total`` is certain from a plain float sum; False if undecided.
-
-        A float sum of n non-negative terms is within (n-1)u/(1-(n-1)u) of their exact sum
-        S (Higham, *Accuracy and Stability*, section 4.2; u = 2**-53), and ``total`` is at
-        least S(1-u)**2: a margin of (n + 8) * 2**-52 covers both away from the extremes."""
-        naive = float(self.own.sum())
-        margin = 1 - (self.own.size + 8) * 2.0**-52
-        return 2.0**-1000 < naive < 2.0**1000 and value <= naive * margin
+        return fitness_totals(self.own[None], self.genes[None]).item()
 
 
-def _extract(values: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Rows ``q`` and a remainder ``r`` that add up to ``values`` exactly; ``r`` None if zero.
+def lower_bounds(own: np.ndarray) -> np.ndarray:
+    """Per row of ``own``, a value certain to be at most its exact total, or NaN (decides nothing).
 
-    Each pass splits ``r`` into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump, Ogita
-    and Oishi 2008). With ``sigma`` a power of two above (n + 1) * max|r|, every partial
-    sum of a row is exact, in any order. A non-finite value or a sigma past 2**1023
-    stops the first pass, so fsum sees ``values`` and overflows or gives NaN as over them.
-    """
-    rows, r = [], values
-    for _ in range(EXTRACTION_PASSES + 1):  # the last looks at the final remainder only
-        top = max(float(r.max(initial=0.0)), -float(r.min(initial=0.0)))
-        scale = math.frexp(top)[1] + (values.size + 1).bit_length()
-        if top == 0.0 or len(rows) == EXTRACTION_PASSES or not math.isfinite(top) or scale > 1023:
-            break
-        q = r + math.ldexp(1.0, scale)
-        q -= math.ldexp(1.0, scale)
+    A float sum of n non-negative terms, in any order, is within (n-1)u/(1-(n-1)u) of their
+    exact sum S (Higham, *Accuracy and Stability*, section 4.2; u = 2**-53), and the total is at
+    least S(1-u)**2: a margin of (n + 8) * 2**-52 covers both away from the extremes."""
+    naive, margin = own.sum(1), 1 - (own.shape[1] + 8) * 2.0**-52
+    return np.where((2.0**-1000 < naive) & (naive < 2.0**1000), naive * margin, math.nan)
+
+
+def _extract(values: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
+    """Rows ``q`` whose sum is each row of a (B, n) ``values`` exactly, and the rows they miss.
+
+    Each pass splits the remainder ``r`` into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump,
+    Ogita and Oishi 2008). With ``sigma`` a power of two above (n + 1) * max|r| of its row, every
+    partial sum of a row of ``q`` is exact, in any order. Rows with a non-finite value, a sigma
+    past 2**1023 or a remainder after EXTRACTION_PASSES are missed: fsum takes their values."""
+    extra, rows, r = (values.shape[1] + 1).bit_length(), [], values
+    tops = np.abs(r).max(1, initial=0.0).tolist()
+    whole = [not top < 2.0 ** (1023 - extra) for top in tops]  # NaN, inf, or a sigma past 2**1023
+    if any(whole):
+        r = np.where(np.array(whole)[:, None], 0.0, values)
+        tops = np.abs(r).max(1).tolist()
+    while any(tops) and len(rows) < EXTRACTION_PASSES:
+        sigma = np.array([[math.ldexp(1.0, math.frexp(top)[1] + extra)] for top in tops])
+        q = r + sigma
+        q -= sigma
         r = r - q
         rows.append(q)
-    return rows, None if top == 0.0 else r
-
-
-def _side_sums(low: list, high: list, rest: np.ndarray | None, genes: np.ndarray):
-    """fsum of each cluster's exact partials plus its entries of the remainder ``rest``."""
-    if rest is None:
-        return math.fsum(low), math.fsum(high)
-    return math.fsum(low + rest[genes == 0].tolist()), math.fsum(high + rest[genes == 1].tolist())
+        tops = np.abs(r).max(1).tolist()
+    return rows, [b for b, (held, top) in enumerate(zip(whole, tops)) if held or top]
 
 
 class SplitPoints:
-    """Points held once as a (2, n) ``coords`` array, each axis split by :func:`_extract`.
+    """Points held once as a (2, n) ``coords`` array, both axes split by one :func:`_extract`.
 
-    ``pieces`` stacks x's ``rows[0]`` rows, y's rows and a row of ones: ``genes @
-    pieces.T`` holds each gene row's high-cluster exact partials and size, ``totals``
-    minus it the low cluster's. ``rest`` is each axis's remainder, None if zero (the usual case).
+    ``pieces`` stacks x's ``rows`` rows, y's and a row of ones: ``genes @ pieces.T`` holds
+    each gene row's high-cluster exact partials and size, ``totals`` minus it the low
+    cluster's. ``raw`` lists the axes the split missed (usually none), for fsum over coordinates.
     """
 
     def __init__(self, xy: np.ndarray) -> None:
-        (x_rows, x_rest), (y_rows, y_rest) = _extract(xy[:, 0]), _extract(xy[:, 1])
-        self.coords, self.rows = np.ascontiguousarray(xy.T), (len(x_rows), len(y_rows))
-        self.pieces = np.array([*x_rows, *y_rows, np.ones(xy.shape[0])])
+        self.coords = np.ascontiguousarray(xy.T)
+        rows, missed = _extract(self.coords)
+        self.rows, self.raw = len(rows), missed
+        self.pieces = np.array([*(q[0] for q in rows), *(q[1] for q in rows), np.ones(xy.shape[0])])
         self.totals = self.pieces.sum(axis=1)
-        self.rest = [x_rest, y_rest]
 
-    def centroids(self, genes: np.ndarray) -> list:
-        """Mean of cluster 0 and of cluster 1 under ``genes``, None if empty; for a (B, n)
-        block, one such pair per row, all rows' exact partials from one product."""
+    def centroids(self, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each cluster's (x, y) mean, NaN if it is empty, and its size: (B, 2, 2) and (B, 2) for
+        (B, n) ``genes``, (2, 2) and (2,) for one row; fsums over partials from one product."""
         block = np.atleast_2d(genes)
-        high, k, means = block @ self.pieces.T, self.rows[0], []
-        for low, high, row in zip((self.totals - high).tolist(), high.tolist(), block):
-            x = _side_sums(low[:k], high[:k], self.rest[0], row)
-            y = _side_sums(low[k:-1], high[k:-1], self.rest[1], row)
-            counts = (low[-1], high[-1])
-            means.append([(sx / n, sy / n) if n else None for sx, sy, n in zip(x, y, counts)])
-        return means if genes.ndim == 2 else means[0]
+        high = block @ self.pieces.T
+        low, k = self.totals - high, self.rows
+        parts = np.concatenate((low[:, :k], high[:, :k], low[:, k:-1], high[:, k:-1]), 1)
+        parts = parts.reshape(4 * len(block), k).tolist()  # per row: x low, x high, y low, y high
+        for axis, coords in ((axis, self.coords[axis]) for axis in self.raw):  # fsum over those
+            for at, mask in zip(range(2 * axis, len(parts), 4), block.view(np.bool_)):
+                parts[at:at + 2] = coords[~mask].tolist(), coords[mask].tolist()
+        sums = np.array(list(map(math.fsum, parts))).reshape(-1, 4)[:, [0, 2, 1, 3]]  # side-major
+        counts = np.concatenate((low[:, -1:], high[:, -1:]), 1)
+        # an empty cluster's sums are 0, and 0 / NaN gives its mean NaN without a warning
+        means = sums.reshape(-1, 2, 2) / np.where(counts > 0, counts, math.nan)[:, :, None]
+        return (means, counts) if genes.ndim == 2 else (means[0], counts[0])
 
     def distances(self, centroids) -> np.ndarray:
         """Row j: each point's Euclidean distance to ``centroids[j]``, both rows in one pass, or
@@ -159,27 +159,35 @@ def as_points(points: SplitPoints | ProjectedDataset | np.ndarray) -> SplitPoint
     return SplitPoints(np.asarray(xy, dtype=np.float64))
 
 
-def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """fsum's bits for ``values[~mask]`` and ``values[mask]``; extraction from SUM_CROSSOVER on."""
-    if values.size < SUM_CROSSOVER:
-        return math.fsum(values[~mask].tolist()), math.fsum(values[mask].tolist())
-    rows, r = _extract(values)
+def _cluster_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(B, 2): fsum's bits for each row's ``values[~mask]`` and ``values[mask]``, from SUM_CROSSOVER
+    cells on over exact partials from one :func:`_extract` (high a product with ``mask``)."""
+    rows, missed = ([], range(len(values))) if values.size < SUM_CROSSOVER else _extract(values)
     weights = mask.astype(np.float64)
-    high = [float(np.einsum("i,i", q, weights)) for q in rows]  # exact, so low is total - high
-    low = [float(q.sum()) - h for q, h in zip(rows, high)]
-    return _side_sums(low, high, r, mask)
+    high = np.array([np.einsum("ij,ij->i", q, weights) for q in rows]).reshape(-1, len(values))
+    low = np.array([q.sum(1) for q in rows]).reshape(-1, len(values)) - high
+    parts = np.array((low, high)).transpose(2, 0, 1).reshape(2 * len(values), -1).tolist()
+    for b in missed:
+        parts[2 * b:2 * b + 2] = values[b, ~mask[b]].tolist(), values[b, mask[b]].tolist()
+    return np.array(list(map(math.fsum, parts))).reshape(-1, 2)
 
 
-def fitness_block(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, list]:
-    """A (B, n) block's (B, 2, n) distances, NaN to an empty cluster, and each row's breakdown."""
-    means = split.centroids(genes)
-    d = split.distances([[c or (math.nan, math.nan) for c in pair] for pair in means])
+def fitness_totals(own: np.ndarray, genes: np.ndarray, empty=False) -> np.ndarray:
+    """Each row's fitness: its two clusters' fsums of ``own`` added, +inf where ``empty``."""
+    sums = _cluster_sums(own, genes.view(np.bool_))
+    return np.where(empty, math.inf, sums[:, 0] + sums[:, 1])
+
+
+def fitness_block(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A (B, n) block's (B, 2, n) distances, NaN to an empty cluster, each point's (B, n)
+    distance to its own centroid, and whether each row leaves a cluster empty."""
+    means, counts = split.centroids(genes)
+    d = split.distances(means)
     bits = d.view(np.int64)  # own: d[:, 1]'s bits where the gene is 1, else d[:, 0]'s; no branch
     own = np.negative(genes, dtype=np.int64)
     own &= bits[:, 0] ^ bits[:, 1]
     own ^= bits[:, 0]
-    return d, [FitnessBreakdown(*((None, None) if None in pair else (dist, mine)), row)
-               for pair, dist, mine, row in zip(means, d, own.view(np.float64), genes)]
+    return d, own.view(np.float64), (counts == 0).any(1)
 
 
 def chromosome_fitness(
@@ -193,7 +201,8 @@ def chromosome_fitness(
     n = split.coords.shape[1]
     if chrom.genes.size != n:
         raise ContractError(f"chromosome length {chrom.genes.size} != point count {n}")
-    return fitness_block(split, chrom.genes[None])[1][0]
+    d, own, empty = fitness_block(split, chrom.genes[None])
+    return FitnessBreakdown(*((None, None) if empty[0] else (d[0], own[0])), chrom.genes)
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:
@@ -229,8 +238,8 @@ def kmeans(points: SplitPoints | ProjectedDataset | np.ndarray, seed: int) -> As
     n = split.coords.shape[1]
     if n < 2:
         raise ContractError(f"2 clusters infeasible for {n} points")
-    centroids = split.coords[:, np.random.default_rng(seed).choice(n, 2, replace=False)].T.tolist()
-    genes, all_low = np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=bool)
+    centroids = split.coords[:, np.random.default_rng(seed).choice(n, 2, replace=False)].T
+    genes, all_low = np.zeros(n, dtype=np.uint8), np.zeros((1, n), dtype=bool)
     objective_trace: list[float] = []
     distance_trace: list[float] = []
     for _ in range(KMEANS_MAX_ITER):
@@ -239,8 +248,9 @@ def kmeans(points: SplitPoints | ProjectedDataset | np.ndarray, seed: int) -> As
         if distance_trace and np.array_equal(new_genes, genes):
             break
         genes = new_genes
-        assigned = np.minimum(d[0], d[1])
-        objective_trace.append(_cluster_sums(assigned * assigned, all_low)[0])
-        distance_trace.append(_cluster_sums(assigned, all_low)[0])
-        centroids = [new or old for new, old in zip(split.centroids(genes), centroids)]
+        assigned = np.minimum(d[:1], d[1:])
+        objective_trace.append(float(_cluster_sums(assigned * assigned, all_low)[0, 0]))
+        distance_trace.append(float(_cluster_sums(assigned, all_low)[0, 0]))
+        means, counts = split.centroids(genes)
+        centroids = np.where(counts[:, None] > 0, means, centroids)
     return Assignment(genes, len(distance_trace), objective_trace, distance_trace)

@@ -214,8 +214,8 @@ def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
         base = _run_seed(config, config.seed, labels, split, trace_sink)
         timings.update(base.pop("timings_s"))
         low_count = int((labels == 0).sum())
-        # the scatter's prediction is the HGA assignment relabeled onto the classes
-        flipped = base["hga"]["label_mapping"] == "flipped"
+        predicted = np.frombuffer(base["hga"]["assignment"].encode(), np.uint8) & 1  # "1" is 49
+        predicted ^= base["hga"]["label_mapping"] == "flipped"  # relabeled onto the classes
         report = {
             "schema_version": SCHEMA_VERSION,
             "artifact_version": __version__,
@@ -235,8 +235,8 @@ def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
             "scatter": {
                 "pc1": projected.points[:, 0].tolist(),
                 "pc2": projected.points[:, 1].tolist(),
-                "predicted": [int(g) ^ flipped for g in base["hga"]["assignment"]],
-                "actual": [int(v) for v in labels],
+                "predicted": predicted.tolist(),
+                "actual": labels.tolist(),  # int64, so JSON writes 1, not 1.0
             },
             "timings_s": timings,
         }

@@ -9,9 +9,11 @@ consecutive generations without a strict decrease of the population
 minimum fitness, or at the max_generations safety cap.
 
 All randomness flows from a single numpy PCG64 generator seeded with the
-run seed, so a run is a pure function of (points, config). The loop runs in blocks of K
-generations: one ``integers`` call over the block's bounds takes its draws, with the values
-and final generator state of one scalar call per draw, and no draw depends on the data.
+run seed, so a run is a pure function of (points, config). The initial genes are one
+``integers`` call over rows padded to whole 32-bit words (a uint8 call drops the rest of its
+last word), as one call per row. The loop runs in blocks of K generations: one ``integers``
+call over the block's bounds takes its draws, with the values and final state of one scalar
+call per draw, and no draw depends on the data.
 :func:`_children` builds a block's children, one scoring pass scores them, and
 :func:`_offspring` applies the generations in order; one whose parent row was replaced
 earlier in its block is rebuilt and scored alone. Fitness is a pure function of the genes,
@@ -25,7 +27,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .clustering import Chromosome, as_points, chromosome_fitness, fitness_block, nearest
+from .clustering import (Chromosome, as_points, chromosome_fitness, fitness_block, fitness_totals,
+                         lower_bounds, nearest)
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
@@ -88,7 +91,7 @@ def init_population(
     rng: np.random.Generator,
     memo: dict[bytes, float] | None = None,
 ) -> Population:
-    """Fair-coin chromosomes, one draw per row, evaluated (and optionally improved with
+    """Fair-coin chromosomes from one draw for all rows, evaluated (and optionally improved with
     ``memo``) by :func:`_score_into`.
 
     If every chromosome leaves a cluster empty, no child could ever
@@ -101,12 +104,10 @@ def init_population(
     if n < 2:
         raise ContractError("need at least 2 points")
     size, memo = config.population_size, {} if memo is None else memo
-    try:
-        pop = Population(np.empty((size, n), dtype=np.uint8), np.empty(size))
+    try:  # rows padded to whole 32-bit words: one draw takes the per-row draws' stream
+        pop = Population(rng.integers(0, 2, (size, n + -n % 4), np.uint8)[:, :n], np.empty(size))
     except (MemoryError, ValueError) as exc:  # past the memory, or past numpy's size limit
         raise InputError(f"population_size {size} is too large for {n} points") from exc
-    for i in range(size):
-        pop.genes[i] = rng.integers(0, 2, size=n, dtype=np.uint8)
     _score_into(split, pop.genes, pop.fitness, config.improve_initial_population, memo)
     if np.isinf(pop.fitness).all():
         pop.genes[0, 0] ^= 1
@@ -156,42 +157,51 @@ def deterministic_improvement(points, chrom: Chromosome, memo: dict | None = Non
     """
     split = as_points(points)
     base = chromosome_fitness(split, chrom)
-    genes = chrom.genes[None]
-    cand = genes if base.distances is None else nearest(*base.distances, chrom.genes)[None]
-    score = lambda rows: [chromosome_fitness(split, Chromosome(row)).total for row in rows]
-    ((kept, _),) = _improve(genes, cand, [base], score, {} if memo is None else memo)
+    genes, cand, bounds = chrom.genes[None], chrom.genes[None], [np.nan]  # empty: nothing moves
+    if base.distances is not None:
+        cand, bounds = nearest(*base.distances, chrom.genes)[None], lower_bounds(base.own[None])
+    score = lambda rows: np.array([chromosome_fitness(split, Chromosome(r)).total for r in rows])
+    memo = {} if memo is None else memo
+    (kept,), _ = _improve(genes, cand, bounds, lambda rows: [base.total], score, memo)
     return Chromosome(cand[0]) if kept else chrom
 
 
-def _improve(genes, cands, bases, score, memo) -> list[tuple[bool, float]]:
-    """The improvement rule: whether each gene row keeps its candidate, and the fitness it keeps.
+def _improve(genes, cands, bounds, exact, score, memo) -> tuple[np.ndarray, np.ndarray]:
+    """The improvement rule over a (B, n) block: which rows keep their candidate, and each fitness.
 
-    A candidate (``cands``) that moves a point is kept if its fitness does not exceed its
-    row's (``bases``; summed only if :meth:`FitnessBreakdown.total_at_least` cannot tell).
-    ``memo`` maps packed candidates to their totals (the pass pulls most children onto a few
-    local optima); distinct misses go to one ``score(rows)`` call, kept to MEMO_BUDGET_BYTES.
+    A candidate (``cands``) that moves a point is kept if its fitness does not exceed its row's:
+    at most the row's ``bounds`` (:func:`lower_bounds`) entry keeps it, else ``exact(rows)``,
+    the exact totals of the rows left, decides. ``memo`` maps packed candidates to their totals
+    (most children fall onto a few local optima); distinct misses go to one ``score(rows)``
+    call, kept to MEMO_BUDGET_BYTES.
     """
-    keys = [np.packbits(c).tobytes() if m else None for c, m in zip(cands, (cands != genes).any(1))]
+    moved = (cands != genes).any(1).tolist()
+    keys = [k.tobytes() if m else None for k, m in zip(np.packbits(cands, axis=1), moved)]
     misses = {key: b for b, key in enumerate(keys) if key is not None and key not in memo}
-    found = dict(zip(misses, score(cands[list(misses.values())]))) if misses else {}
+    found = dict(zip(misses, score(cands[list(misses.values())]).tolist())) if misses else {}
     for key, total in found.items():
         if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) <= MEMO_BUDGET_BYTES:
             memo[key] = total
-    totals = [None if key is None else found[key] if key in found else memo[key] for key in keys]
-    kept = [t is not None and (b.total_at_least(t) or t <= b.total) for b, t in zip(bases, totals)]
-    return [(keep, total if keep else b.total) for keep, total, b in zip(kept, totals, bases)]
+    fitness = np.array([np.nan if k is None else (found if k in found else memo)[k] for k in keys])
+    kept = fitness <= bounds  # NaN (no move, or no usable bound) keeps nothing yet
+    if (left := (~kept).nonzero()[0]).size:  # a slice when every row is left: nothing copied
+        base = np.asarray(exact(left if left.size < len(kept) else slice(None)), dtype=np.float64)
+        kept[left] = fitness[left] <= base
+        fitness[left] = np.where(kept[left], fitness[left], base)
+    return kept, fitness
 
 
-def _scored_block(split, genes: np.ndarray, improve: bool, memo: dict) -> list:
+def _scored_block(split, genes: np.ndarray, improve: bool, memo: dict) -> np.ndarray:
     """Each row's fitness, a (B, n) block's rows first improved in place with ``memo`` if asked."""
-    d, bases = fitness_block(split, genes)
+    d, own, empty = fitness_block(split, genes)
     if not improve:
-        return [base.total for base in bases]
+        return fitness_totals(own, genes, empty)
     cands = nearest(d[:, 0], d[:, 1], genes)  # NaN distances keep a row with an empty cluster
+    exact = lambda rows: fitness_totals(own[rows], genes[rows], empty[rows])
     score = lambda rows: _scored_block(split, rows, False, memo)
-    kept, fitness = zip(*_improve(genes, cands, bases, score, memo))
-    genes[list(kept)] = cands[list(kept)]
-    return list(fitness)
+    kept, fitness = _improve(genes, cands, lower_bounds(own), exact, score, memo)
+    genes[kept] = cands[kept]
+    return fitness
 
 
 def _score_into(split, genes, fitness, improve, memo, alone=True) -> bool:
@@ -223,12 +233,12 @@ def steady_state_replace(pop: Population, genes: np.ndarray, fitness: float) -> 
 
 def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Rows 2g and 2g + 1: the children of draws ``block[g]``, as the operators build them."""
-    first, second = _distinct_pair(block[:, 0], block[:, 1])
-    children = genes[np.stack((first, second), 1).ravel()]
-    for g, (i, j, cut) in enumerate(zip(first.tolist(), second.tolist(), block[:, 2].tolist())):
-        children[2 * g, cut:], children[2 * g + 1, cut:] = genes[j, cut:], genes[i, cut:]
+    parents = genes[np.array(_distinct_pair(block[:, 0], block[:, 1])).T]  # (K, 2, n)
+    # where the two parents differ from the cut on: flipping those bits swaps their tails
+    swap = (parents[:, 0] ^ parents[:, 1]) & (np.arange(genes.shape[1]) >= block[:, 2:3])
+    children = (parents ^ swap[:, None]).reshape(2 * len(block), -1)
     if block.shape[1] > 3:
-        flips = np.stack(_distinct_pair(*block[:, 3:].reshape(-1, 2).T), 1)
+        flips = np.array(_distinct_pair(*block[:, 3:].reshape(-1, 2).T)).T
         children[np.arange(len(children))[:, None], flips] ^= 1
     return children
 

@@ -47,7 +47,11 @@ class TestChromosome:
 
 
 def centroids(pts, bits):
-    return clustering.as_points(pts).centroids(chrom(bits).genes)
+    """Each cluster's mean as an (x, y) tuple, None if it is empty (its mean is NaN, its size 0)."""
+    means, counts = clustering.as_points(pts).centroids(chrom(bits).genes)
+    assert means.shape == (2, 2) and counts.tolist() == [len(bits) - sum(bits), sum(bits)]
+    assert np.isnan(means[counts == 0]).all()
+    return [tuple(mean) if count else None for mean, count in zip(means.tolist(), counts)]
 
 
 class TestCentroid:
@@ -185,14 +189,14 @@ class TestChromosomeFitness:
 def fsum_bits(values, mask):
     try:
         return math.fsum(values[~mask].tolist()).hex(), math.fsum(values[mask].tolist()).hex()
-    except OverflowError as exc:  # an intermediate sum passes float_info.max
+    except (OverflowError, ValueError) as exc:  # an intermediate overflow, or inf - inf
         return repr(exc), repr(exc)
 
 
 def cluster_sum_bits(values, mask):
     try:
-        return tuple(total.hex() for total in clustering._cluster_sums(values, mask))
-    except OverflowError as exc:
+        return tuple(total.hex() for total in clustering._cluster_sums(values[None], mask[None])[0])
+    except (OverflowError, ValueError) as exc:
         return repr(exc), repr(exc)
 
 
@@ -210,7 +214,7 @@ WIDE_SPAN += [2.0 ** -1000, 3.0]
 
 
 class TestOnDemandTotal:
-    """``FitnessBreakdown.total`` is summed on first read; the guard bound decides without it."""
+    """``FitnessBreakdown.total`` is summed on first read; ``lower_bounds`` decides without it."""
 
     @pytest.mark.parametrize("extraction", [False, True], ids=["fsum", "extraction"])
     def test_first_read_gives_the_exact_total(self, extraction, monkeypatch):
@@ -249,12 +253,11 @@ class TestOnDemandTotal:
         ],
     )
     def test_bound_decides_only_far_from_ties_and_extremes(self, own, value, decided):
-        own = np.array(own)
-        genes = np.array([0, 1], dtype=np.uint8)
-        breakdown = clustering.FitnessBreakdown(np.array([own, own]), own, genes)
-        assert breakdown.total_at_least(value) is decided
+        own = np.array([own, own[::-1]])  # a block: each row's bound is its own
+        genes = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        assert (value <= clustering.lower_bounds(own)).tolist() == [decided, decided]
         if decided:
-            assert value <= breakdown.total
+            assert (value <= clustering.fitness_totals(own, genes)).all()
 
 
 class TestClusterSums:
@@ -296,8 +299,8 @@ class TestClusterSums:
     def test_a_remainder_cleared_by_the_last_pass_is_none(self):
         # four cancelling levels of WIDE_SPAN: each pass clears one, the fourth the last
         values = np.resize(np.array(WIDE_SPAN[:8]), 2 * clustering.SUM_CROSSOVER)
-        rows, rest = clustering._extract(values)
-        assert len(rows) == clustering.EXTRACTION_PASSES and rest is None
+        rows, missed = clustering._extract(values[None])
+        assert len(rows) == clustering.EXTRACTION_PASSES and missed == []
         mask = np.arange(values.size) % 3 == 0
         assert cluster_sum_bits(values, mask) == fsum_bits(values, mask)
 
@@ -315,6 +318,72 @@ class TestClusterSums:
             assert lib.hex() == python_fitness(pts.tolist(), genes.tolist()).hex()
 
 
+@st.composite
+def sum_rows(draw, n):
+    """A row of n summands and its mask, of one kind: plain (two extraction passes), a remainder
+    left after EXTRACTION_PASSES (exponents spread over 2,000 binades, or a few values next to
+    zero), signed zeros, or a non-finite or overflowing row; the mask random or one-sided."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plain", "spread", "near-zero", "zeros", "special"]))
+    if kind == "plain":
+        row = rng.random(n) * 10
+    elif kind == "spread":
+        row = rng.random(n) * 2.0 ** rng.integers(-1070, 1000, n).astype(float)
+    elif kind == "near-zero":
+        row = np.where(rng.random(n) < 0.5, 5e-324, 1.0) * rng.integers(1, 9, n)
+    elif kind == "zeros":
+        row = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    else:
+        row = rng.random(n)
+        row[rng.integers(n)] = draw(st.sampled_from([math.inf, -math.inf, math.nan, MAX]))
+        row[rng.integers(n)] = draw(st.sampled_from([math.inf, -math.inf, MAX, 1.0]))
+    mask = (rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool))[draw(st.integers(0, 2))]
+    return row, mask
+
+
+@st.composite
+def sum_blocks(draw):
+    n = draw(st.integers(1, 60))
+    rows = draw(st.lists(sum_rows(n), min_size=1, max_size=8))
+    return np.array([row for row, _ in rows]), np.array([mask for _, mask in rows])
+
+
+class TestBlockSums:
+    """A block's sums, from one extraction over all its rows or by fsum, against fsum a row at
+    a time, as hex; on either side of the cell switch, SUM_CROSSOVER cells per call."""
+
+    @settings(max_examples=300)
+    @given(sum_blocks(), st.booleans())
+    def test_block_matches_fsum_row_by_row(self, block, extraction):
+        values, mask = block
+        expected = [fsum_bits(row, m) for row, m in zip(values, mask)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "SUM_CROSSOVER", values.size + (not extraction))
+            failing = [bits[0] for bits in expected if bits[0].startswith(("Overflow", "Value"))]
+            if failing:  # rows are summed in order: the first failing row's error comes out
+                with pytest.raises((OverflowError, ValueError)) as info:
+                    clustering._cluster_sums(values, mask)
+                assert repr(info.value) == failing[0]
+                return
+            sums = clustering._cluster_sums(values, mask)
+            assert [(low.hex(), high.hex()) for low, high in sums.tolist()] == expected
+
+    @settings(max_examples=100)
+    @given(sum_blocks(), st.booleans(), st.integers(0, 255))
+    def test_totals_add_both_sides_and_empty_rows_are_inf(self, block, extraction, empty_bits):
+        values, mask = block
+        # distances: non-negative and below sqrt(MAX) or inf, so no sum fails
+        values = np.where(np.isnan(values) | (np.abs(values) < 1e150), np.abs(values), math.inf)
+        empty = (empty_bits >> np.arange(len(values))) % 2 == 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "SUM_CROSSOVER", values.size + (not extraction))
+            totals = clustering.fitness_totals(values, mask.view(np.uint8), empty)
+        for total, row, m, is_empty in zip(totals.tolist(), values, mask, empty):
+            expected = math.inf if is_empty else (
+                math.fsum(row[~m].tolist()) + math.fsum(row[m].tolist()))
+            assert total.hex() == expected.hex()
+
+
 def fsum_centroids(xy, genes):
     """Each cluster's mean by fsum over its own values, x before y as the kernel sums them."""
     try:
@@ -326,11 +395,20 @@ def fsum_centroids(xy, genes):
 
 
 def split_centroids(xy, genes):
+    """The one-row centroids as hex pairs, None for an empty cluster; a (2, n) block of the row
+    and its complement must give the same two pairs, swapped."""
+    split = clustering.SplitPoints(xy)
     try:
-        centroids = clustering.SplitPoints(xy).centroids(genes)
+        means, counts = split.centroids(genes)
     except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):  # the block meets a failing sum too
+            split.centroids(np.stack((genes, 1 - genes)))
         return repr(exc)
-    return [None if c is None else (c[0].hex(), c[1].hex()) for c in centroids]
+    assert np.isnan(means[counts == 0]).all()
+    block, block_counts = split.centroids(np.stack((genes, 1 - genes)))
+    assert block_counts.tolist() == [counts.tolist(), counts[::-1].tolist()]
+    assert np.array_equal(block[1], means[::-1], equal_nan=True)
+    return [None if k == 0 else (x.hex(), y.hex()) for (x, y), k in zip(means.tolist(), counts)]
 
 
 class TestSplitPoints:
@@ -363,15 +441,15 @@ class TestSplitPoints:
     def test_wide_span_leaves_a_remainder(self):
         xy = np.resize(np.array(WIDE_SPAN), (2 * clustering.SUM_CROSSOVER, 2))
         split = clustering.SplitPoints(xy)
-        assert split.rest[0] is not None and split.rest[1] is not None
+        assert split.raw == [0, 1]  # a remainder on both axes
         genes = (np.arange(xy.shape[0]) % 3 == 0).astype(np.uint8)
         assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
 
     def test_fixture_needs_no_remainder(self, prepared):
         *_, projected = prepared
         split = clustering.as_points(projected)
-        assert split.rest == [None, None]
-        assert split.pieces.shape == (sum(split.rows) + 1, projected.n_points)
+        assert split.raw == []
+        assert split.pieces.shape == (2 * split.rows + 1, projected.n_points)
         assert split.totals[-1] == projected.n_points
 
     AXES = {

@@ -73,6 +73,27 @@ class TestInitPopulation:
         drawn = [again.integers(0, 2, size=projected.n_points, dtype=np.uint8) for _ in range(2500)]
         assert np.array_equal(pop.genes, np.array(drawn))
 
+    # n = 1 to 9 covers n mod 4 = 0..3; where size * ceil(n / 4) is odd (7 * 1, 9 * 1, 13 * 1,
+    # 5 * 1, 3 * 3) the draw ends on half of a 64-bit PCG64 output, the other half left spare
+    @pytest.mark.parametrize(
+        "size, n", [(7, 1), (9, 2), (13, 3), (5, 4), (5, 5), (6, 6), (3, 7), (4, 8), (3, 9)])
+    @pytest.mark.parametrize("improve", [False, True], ids=["drawn", "improve-initial"])
+    def test_one_draw_takes_the_per_row_stream(self, size, n, improve):
+        points = np.random.default_rng(n).normal(size=(max(n, 2), 2))
+        config = HgaConfig(population_size=size, improve_initial_population=improve)
+        for seed in range(5):
+            rng, per_row = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [per_row.integers(0, 2, size=n, dtype=np.uint8) for _ in range(size)]
+            if n == 1:  # below init's two points: the padded draw on its own
+                genes = rng.integers(0, 2, (size, 4), np.uint8)[:, :1]
+            else:
+                genes = init_population(points, config, rng).genes
+            if improve and n > 1:
+                drawn = [deterministic_improvement(points, Chromosome(row)).genes for row in drawn]
+            assert np.array_equal(genes, np.array(drawn))
+            assert rng.bit_generator.state == per_row.bit_generator.state
+            assert rng.integers(1 << 62) == per_row.integers(1 << 62)
+
     def test_all_one_sided_population_is_repaired(self):
         # seed 1 draws [1, 1] for both chromosomes: flipping gene 0 of the
         # first gives the only split, without another draw from the rng
@@ -272,11 +293,10 @@ class TestDeterministicImprovement:
             n = int(rng.integers(2, 25))
             pts = rng.normal(0, 5, size=(n, 2))
             c = Chromosome(rng.integers(0, 2, n, dtype=np.uint8))
-            low, high = clustering.as_points(pts).centroids(c.genes)
-            if low is None or high is None:
+            centroids, counts = clustering.as_points(pts).centroids(c.genes)
+            if not counts.all():
                 continue
             improved = deterministic_improvement(pts, c)
-            centroids = np.array([low, high])
 
             def assigned_sum(genes):
                 d = np.sqrt(((pts - centroids[genes]) ** 2).sum(axis=1))
@@ -350,12 +370,17 @@ class TestOnDemandTotal:
             np.array(points), chrom).total
 
     def test_oracle_run_takes_both_paths(self, monkeypatch):
-        outcomes = []
-        decide = clustering.FitnessBreakdown.total_at_least
-        monkeypatch.setattr(
-            clustering.FitnessBreakdown, "total_at_least",
-            lambda self, value: outcomes.append(decide(self, value)) or outcomes[-1],
-        )
+        outcomes = []  # per candidate that moves a point: decided by the bound alone
+        improve = hga._improve
+
+        def spy(genes, cands, bounds, exact, score, memo):
+            asked = np.zeros(len(genes), dtype=bool)
+            result = improve(genes, cands, bounds,
+                             lambda rows: asked.__setitem__(rows, True) or exact(rows), score, memo)
+            outcomes.extend((~asked[(cands != genes).any(1)]).tolist())
+            return result
+
+        monkeypatch.setattr(hga, "_improve", spy)
         # a coarse grid, so that ties and rejections come up
         points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
         knobs = {"population_size": 12, "seed": 0, "doldrum_factor": 2, "max_generations": 300}
@@ -639,7 +664,7 @@ class TestBlockEqualsRow:
         block_fitness, row_fitness = hga.fitness_block, hga.chromosome_fitness
         with pytest.MonkeyPatch.context() as patch:
             if undecided:  # every guard left to the exact totals
-                patch.setattr(clustering.FitnessBreakdown, "total_at_least", lambda self, v: False)
+                patch.setattr(hga, "lower_bounds", lambda own: np.full(len(own), math.nan))
             patch.setattr(hga, "fitness_block", lambda split, g: scored.update(
                 block=scored["block"] + len(g)) or block_fitness(split, g))
             patch.setattr(hga, "chromosome_fitness", lambda split, c: scored.update(
@@ -689,9 +714,9 @@ class TestRunHgaMemo:
         sizes = []
         improve = hga._improve  # the improvement rule the loop applies to every child
 
-        def spy(genes, cands, bases, score, memo):
-            result = improve(genes, cands, bases, score, memo)
-            sizes.append(len(memo))
+        def spy(*args):  # the memo is the last argument
+            result = improve(*args)
+            sizes.append(len(args[-1]))
             return result
 
         monkeypatch.setattr(hga, "_improve", spy)
