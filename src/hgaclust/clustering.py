@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, InputError
 from .pca import ProjectedDataset
 
 KMEANS_MAX_ITER = 100
@@ -80,9 +80,10 @@ def lower_bounds(own: np.ndarray) -> np.ndarray:
 
     A float sum of n non-negative terms, in any order, is within (n-1)u/(1-(n-1)u) of their
     exact sum S (Higham, *Accuracy and Stability*, section 4.2; u = 2**-53), and the total is at
-    least S(1-u)**2: a margin of (n + 8) * 2**-52 covers both away from the extremes."""
+    least S(1-u)**2: a margin of (n + 8) * 2**-52 covers both above 2**-1000. Points that pass
+    :func:`check_summable` keep a row's sum below sqrt(n) * 2**512, so there is no upper cut."""
     naive, margin = own.sum(1), 1 - (own.shape[1] + 8) * 2.0**-52
-    return np.where((2.0**-1000 < naive) & (naive < 2.0**1000), naive * margin, math.nan)
+    return np.where(2.0**-1000 < naive, naive * margin, math.nan)
 
 
 def _extract(values: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
@@ -90,11 +91,11 @@ def _extract(values: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
 
     Each pass splits the remainder ``r`` into ``q = (r + sigma) - sigma`` and ``r - q`` (Rump,
     Ogita and Oishi 2008). With ``sigma`` a power of two above (n + 1) * max|r| of its row, every
-    partial sum of a row of ``q`` is exact, in any order. Rows with a non-finite value, a sigma
-    past 2**1023 or a remainder after EXTRACTION_PASSES are missed: fsum takes their values."""
+    partial sum of a row of ``q`` is exact, in any order. Rows needing a sigma past 2**1023 (as
+    squared distances may) or left with a remainder after EXTRACTION_PASSES go to fsum."""
     extra, rows, r = (values.shape[1] + 1).bit_length(), [], values
     tops = np.abs(r).max(1, initial=0.0).tolist()
-    whole = [not top < 2.0 ** (1023 - extra) for top in tops]  # NaN, inf, or a sigma past 2**1023
+    whole = [not top < 2.0 ** (1023 - extra) for top in tops]  # squares near the guard's bound
     if any(whole):
         r = np.where(np.array(whole)[:, None], 0.0, values)
         tops = np.abs(r).max(1).tolist()
@@ -108,16 +109,29 @@ def _extract(values: np.ndarray) -> tuple[list[np.ndarray], list[int]]:
     return rows, [b for b, (held, top) in enumerate(zip(whole, tops)) if held or top]
 
 
+def check_summable(coords: np.ndarray) -> None:
+    """Raise InputError unless the (2, n) ``coords`` are finite and n * (x reach² + y reach²) is,
+    a reach: an axis' span plus 2**-48 * its max|coord| (a mean may round an ulp off the range)."""
+    n = coords.shape[1]
+    low, high = (coords.min(1).tolist(), coords.max(1).tolist()) if n else ([], [])
+    if not all(map(math.isfinite, low + high)):
+        raise InputError("the points must have finite coordinates")
+    reach = [b - a + max(-a, b) * 2.0**-48 for a, b in zip(low, high)]
+    if not math.isfinite(n * sum(r * r for r in reach)):
+        raise InputError("squared distances of the projected points overflow float64")
+
+
 class SplitPoints:
-    """Points held once as a (2, n) ``coords`` array, both axes split by one :func:`_extract`.
+    """Points held once as a (2, n) ``coords`` array, both axes split by one :func:`_extract`;
+    InputError for points :func:`check_summable` refuses, so no sum over them can overflow.
 
     ``pieces`` stacks x's ``rows`` rows, y's and a row of ones: ``genes @ pieces.T`` holds
     each gene row's high-cluster exact partials and size, ``totals`` minus it the low
-    cluster's. ``raw`` lists the axes the split missed (usually none), for fsum over coordinates.
-    """
+    cluster's. ``raw`` lists the axes the split missed (usually none), for fsum over coordinates."""
 
     def __init__(self, xy: np.ndarray) -> None:
         self.coords = np.ascontiguousarray(xy.T)
+        check_summable(self.coords)
         rows, missed = _extract(self.coords)
         self.rows, self.raw = len(rows), missed
         self.pieces = np.array([*(q[0] for q in rows), *(q[1] for q in rows), np.ones(xy.shape[0])])
@@ -142,12 +156,11 @@ class SplitPoints:
 
     def distances(self, centroids) -> np.ndarray:
         """Row j: each point's Euclidean distance to ``centroids[j]``, both rows in one pass, or
-        (B, 2, n) for B pairs; an infinite coordinate less an infinite centroid is NaN, silently."""
+        (B, 2, n) for B pairs; NaN, silently, only to an empty cluster's NaN mean."""
         c = np.asarray(centroids, dtype=np.float64)[..., None]
-        with np.errstate(over="ignore", invalid="ignore"):  # past ~1.3e154 apart the square is inf
-            d, dy = self.coords[0] - c[..., 0, :], self.coords[1] - c[..., 1, :]
-            np.square(d, out=d)
-            d += np.square(dy, out=dy)
+        d, dy = self.coords[0] - c[..., 0, :], self.coords[1] - c[..., 1, :]
+        np.square(d, out=d)
+        d += np.square(dy, out=dy)
         return np.sqrt(d, out=d)
 
 

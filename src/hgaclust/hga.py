@@ -204,22 +204,11 @@ def _scored_block(split, genes: np.ndarray, improve: bool, memo: dict) -> np.nda
     return fitness
 
 
-def _score_into(split, genes, fitness, improve, memo, alone=True) -> bool:
-    """:func:`_scored_block` in place over chunks of BLOCK_CELLS cells, a row at least. A chunk
-    whose exact sums fail in fsum (overflow, inf - inf) is redone a row at a time if ``alone``,
-    so the first failing row raises, as scored alone; else the call returns False."""
+def _score_into(split, genes, fitness, improve, memo) -> None:
+    """:func:`_scored_block` in place over chunks of BLOCK_CELLS cells, a row at least."""
     step = max(1, BLOCK_CELLS // genes.shape[1])
     for rows in (slice(start, start + step) for start in range(0, len(genes), step)):
-        try:
-            fitness[rows] = _scored_block(split, genes[rows], improve, memo)
-        except (OverflowError, ValueError) as exc:
-            if "fsum" not in str(exc):
-                raise
-            if not alone:
-                return False
-            for i in range(*rows.indices(len(genes))):
-                fitness[i:i + 1] = _scored_block(split, genes[i:i + 1], improve, memo)
-    return True
+        fitness[rows] = _scored_block(split, genes[rows], improve, memo)
 
 
 def steady_state_replace(pop: Population, genes: np.ndarray, fitness: float) -> bool:
@@ -246,23 +235,22 @@ def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
 def _offspring(split, pop, draw: Callable[[], np.ndarray], improve, memo) -> Iterator[zip]:
     """Each generation's two scored children, built and scored a block of ``draw()`` (one row
     per generation) at a time. One whose parent row's fitness changed since (a replacement
-    lowers it) is stale: it is rebuilt from the updated matrix and scored alone, as is each
-    one of a block whose exact sums fail."""
+    lowers it) is stale: it is rebuilt from the updated matrix and scored alone."""
     while True:
         block = draw()
         parents = [pair.tolist() for pair in _distinct_pair(block[:, 0], block[:, 1])]
         children, fitness = _children(pop.genes, block), np.empty(2 * len(block))
-        failed = not _score_into(split, children, fitness, improve, memo, alone=False)
+        _score_into(split, children, fitness, improve, memo)
         for g, (i, j, fi, fj) in enumerate(zip(*parents, *pop.fitness[parents].tolist())):
             rows = slice(2 * g, 2 * g + 2)
-            if failed or pop.fitness[i] != fi or pop.fitness[j] != fj:
+            if pop.fitness[i] != fi or pop.fitness[j] != fj:
                 children[rows] = _children(pop.genes, block[g:g + 1])
                 _score_into(split, children[rows], fitness[rows], improve, memo)
             yield zip(children[rows], fitness[rows])
 
 
 def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> HgaResult:
-    """Run the full loop; deterministic given (points, config)."""
+    """Run the full loop; deterministic given (points, config), with a finite best fitness."""
     split = as_points(points)
     rng = np.random.default_rng(config.seed)
     memo: dict[bytes, float] = {}

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hgaclust import clustering
 from hgaclust.clustering import Chromosome, chromosome_fitness, kmeans
-from hgaclust.errors import ContractError
+from hgaclust.errors import ContractError, InputError
 
 from oracles import brute_force_min_fitness, python_fitness, python_two_means
 
@@ -130,15 +131,13 @@ class TestChromosomeFitness:
         assert np.array_equal(c.genes, genes) and vars(c).keys() == {"genes"}
         assert chromosome_fitness(pts, c).total.hex() == first.hex()
 
-    @pytest.mark.filterwarnings("error")  # the overflowing square is meant: no warning
-    def test_a_point_past_the_square_root_of_the_largest_float_scores_inf(self):
+    @pytest.mark.filterwarnings("error")  # refused before any square is taken: no warning
+    def test_a_point_past_the_square_root_of_the_largest_float_is_refused(self):
+        # a distance of 1e200 squares to inf: the split refuses the points
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [2.0, 1.0]])
-        assert chromosome_fitness(pts, chrom([0, 0, 1, 1])).total == math.inf
-        assert chromosome_fitness(pts, chrom([0, 0, 0, 1])).total == math.inf
-        # alone in its cluster, the far point adds 0 to the other cluster's finite sum
-        total = chromosome_fitness(pts, chrom([0, 0, 1, 0])).total
-        assert total.hex() == python_fitness(pts.tolist(), [0, 0, 1, 0]).hex()
-        assert math.isfinite(total)
+        for genes in ([0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 1, 0]):
+            with pytest.raises(InputError, match="squared distances"):
+                chromosome_fitness(pts, chrom(genes))
 
     def test_oracle_equality_on_random_cases(self):
         rng = np.random.default_rng(6)
@@ -244,12 +243,10 @@ class TestOnDemandTotal:
             ([1.0, 2.0], math.nan, False),
             ([1.0, 2.0], math.inf, False),
             ([1.0, math.nan], 0.5, False),
-            ([1.0, math.inf], 0.5, False),
             ([0.0, 0.0], 0.0, False),
             ([2.0**-1001, 2.0**-1001], 0.0, False),  # the plain sum is 2**-1000
             ([2.0**-1000, 2.0**-1000], 0.0, True),
-            ([2.0**999, 2.0**999], 1.0, False),  # the plain sum is 2**1000
-            ([2.0**998, 2.0**998], 1.0, True),
+            ([2.0**999, 2.0**999], 1.0, True),  # no upper cut: guarded rows stay far below
         ],
     )
     def test_bound_decides_only_far_from_ties_and_extremes(self, own, value, decided):
@@ -384,26 +381,34 @@ class TestBlockSums:
             assert total.hex() == expected.hex()
 
 
+def summable(xy):
+    """The split's guard in plain Python: finite coordinates, and n * (x reach² + y reach²)
+    finite, a reach being an axis' span plus 2**-48 of its largest magnitude."""
+    n, axes = len(xy), list(zip(*xy.tolist()))
+    if not all(math.isfinite(v) for axis in axes for v in axis):
+        return False
+    reach = [max(axis) - min(axis) + max(map(abs, axis)) * 2.0**-48 for axis in axes]
+    return math.isfinite(n * (reach[0] * reach[0] + reach[1] * reach[1]))
+
+
 def fsum_centroids(xy, genes):
-    """Each cluster's mean by fsum over its own values, x before y as the kernel sums them."""
-    try:
-        x, y = ([math.fsum(xy[genes == side, axis].tolist()) for side in (0, 1)] for axis in (0, 1))
-    except (OverflowError, ValueError) as exc:  # an intermediate overflow, or inf - inf
-        return repr(exc)
+    """Each cluster's mean by fsum over its own values, x before y as the kernel sums them;
+    "refused" for points the split's guard refuses."""
+    if not summable(xy):
+        return "refused"
+    x, y = ([math.fsum(xy[genes == side, axis].tolist()) for side in (0, 1)] for axis in (0, 1))
     counts = [int(np.count_nonzero(genes == side)) for side in (0, 1)]
     return [((sx / k).hex(), (sy / k).hex()) if k else None for sx, sy, k in zip(x, y, counts)]
 
 
 def split_centroids(xy, genes):
     """The one-row centroids as hex pairs, None for an empty cluster; a (2, n) block of the row
-    and its complement must give the same two pairs, swapped."""
-    split = clustering.SplitPoints(xy)
+    and its complement must give the same two pairs, swapped; "refused" on an InputError."""
     try:
-        means, counts = split.centroids(genes)
-    except (OverflowError, ValueError) as exc:
-        with pytest.raises(type(exc)):  # the block meets a failing sum too
-            split.centroids(np.stack((genes, 1 - genes)))
-        return repr(exc)
+        split = clustering.SplitPoints(xy)
+    except InputError:
+        return "refused"
+    means, counts = split.centroids(genes)
     assert np.isnan(means[counts == 0]).all()
     block, block_counts = split.centroids(np.stack((genes, 1 - genes)))
     assert block_counts.tolist() == [counts.tolist(), counts[::-1].tolist()]
@@ -411,8 +416,18 @@ def split_centroids(xy, genes):
     return [None if k == 0 else (x.hex(), y.hex()) for (x, y), k in zip(means.tolist(), counts)]
 
 
+AXES = {
+    "plain": [1.0, -2.0, 0.5],
+    "inf": [math.inf, 1.0, 2.0],
+    "nan": [math.nan, 1.0, 3.0],
+    "overflow": [MAX, MAX, -MAX],
+    "inf-minus-inf": [math.inf, -math.inf, 1.0],
+}
+
+
 class TestSplitPoints:
-    """Centroids read off the once-per-run split against fsum over each cluster, as hex."""
+    """Centroids read off the once-per-run split against fsum over each cluster, as hex, and
+    refusals against the guard's conditions (±MAX and 1e300 are among the drawn values)."""
 
     @given(st.lists(st.tuples(SUMMANDS, SUMMANDS, st.integers(0, 1)), min_size=1, max_size=40))
     @example([(0.0, -0.0, 0), (-0.0, -0.0, 1), (-0.0, 0.0, 0)])
@@ -439,7 +454,10 @@ class TestSplitPoints:
         assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
 
     def test_wide_span_leaves_a_remainder(self):
-        xy = np.resize(np.array(WIDE_SPAN), (2 * clustering.SUM_CROSSOVER, 2))
+        # cancelling pairs at eight levels 180 binades apart, from 2**400 down: the guard
+        # passes them, and four passes clear four levels
+        levels = [m * 2.0**k for k in range(400, -1001, -180) for m in (1.5, -1.5)]
+        xy = np.resize(np.array(levels), (2 * clustering.SUM_CROSSOVER, 2))
         split = clustering.SplitPoints(xy)
         assert split.raw == [0, 1]  # a remainder on both axes
         genes = (np.arange(xy.shape[0]) % 3 == 0).astype(np.uint8)
@@ -452,22 +470,104 @@ class TestSplitPoints:
         assert split.pieces.shape == (2 * split.rows + 1, projected.n_points)
         assert split.totals[-1] == projected.n_points
 
-    AXES = {
-        "plain": [1.0, -2.0, 0.5],
-        "inf": [math.inf, 1.0, 2.0],
-        "nan": [math.nan, 1.0, 3.0],
-        "overflow": [MAX, MAX, -MAX],
-        "inf-minus-inf": [math.inf, -math.inf, 1.0],
-    }
-
-    @pytest.mark.parametrize("x", list(AXES))
-    @pytest.mark.parametrize("y", list(AXES))
+    @pytest.mark.filterwarnings("error")  # refused by reductions alone: no warning
+    @pytest.mark.parametrize(
+        "x, y", [(x, y) for x in AXES for y in AXES if (x, y) != ("plain", "plain")])
     @pytest.mark.parametrize("genes", [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
-    def test_specials_give_fsum_result_or_error(self, x, y, genes):
-        # with both axes raising, x's error comes first, as in per-axis sums
-        xy = np.array([self.AXES[x], self.AXES[y]]).T.copy()
-        genes = np.array(genes, dtype=np.uint8)
-        assert split_centroids(xy, genes) == fsum_centroids(xy, genes)
+    def test_specials_are_refused(self, x, y, genes):
+        # a non-finite coordinate, or a span whose square overflows, on either axis
+        xy = np.array([AXES[x], AXES[y]]).T.copy()
+        with pytest.raises(InputError):
+            clustering.SplitPoints(xy)
+        with pytest.raises(InputError):
+            chromosome_fitness(xy, chrom(genes))
+
+
+def spread_points(n, level, tilt, seed):
+    """n points whose n * (x span² + y span²) is ``level`` * 2**1024, ``tilt`` of it along x: each
+    axis takes 0, its span and n - 2 ``default_rng(seed)`` uniform values between."""
+    rng = np.random.default_rng(seed)
+    spans = [math.sqrt(share * level / n) * 2.0**512 for share in (tilt, 1 - tilt)]
+    return np.array([[0.0, span, *rng.uniform(0, span, n - 2)] for span in spans]).T
+
+
+@st.composite
+def edge_points(draw):
+    """Points the guard passes, at its edges, n past SUM_CROSSOVER: spans up to 0.999 of the
+    overflow bound; every x the same and up to 0.999 of the bound for x alone (then only the
+    rounding of the mean sets points apart); or normal values scaled by 2**e, e drawn per
+    coordinate from -1000 up to at most 400."""
+    n, seed = draw(st.integers(1024, 2100)), draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["spread", "identical", "magnitude"]))
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        return spread_points(n, draw(st.floats(0, 0.999)), draw(st.floats(0, 1)), seed)
+    if kind == "identical":
+        x = draw(st.sampled_from([1.0, -1.0])) * math.sqrt(draw(st.floats(0.5, 0.999)) / n)
+        return np.stack((np.full(n, x * 2.0**560), rng.normal(size=n)), 1)
+    exponents = rng.integers(-1000, draw(st.integers(-1000, 400)) + 1, (n, 2))
+    return rng.normal(size=(n, 2)) * 2.0**exponents
+
+
+class TestGuardEdges:
+    """Points the split's guard passes never make a sum raise or warn, and still sum exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_points(), st.integers(0, 3))
+    # k-means' squared distances here need a sigma past 2**1023: without _extract's clause for
+    # them, math.ldexp raises OverflowError in the first k-means iteration
+    @example(spread_points(1024, 0.99, 1.0, 0), 0)
+    def test_guarded_points_sum_exactly(self, xy, seed):
+        from hgaclust import hga
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy warning fails the example
+            self._sum_exactly(hga, xy, seed)
+
+    @staticmethod
+    def _sum_exactly(hga, xy, seed):
+        split = clustering.SplitPoints(xy)
+        rng = np.random.default_rng(seed)
+        n = len(xy)
+        one = (np.arange(n) == rng.integers(n)).astype(np.uint8)
+        genes = np.stack((rng.integers(0, 2, n, dtype=np.uint8), one, np.zeros(n, np.uint8)))
+        for row in genes:
+            assert split_centroids(xy, row) == fsum_centroids(xy, row)
+        _, own, empty = clustering.fitness_block(split, genes)
+        totals = clustering.fitness_totals(own, genes, empty).tolist()
+        assert [t.hex() for t in totals] == [
+            python_fitness(xy.tolist(), row.tolist()).hex() for row in genes]
+        assert 1 <= kmeans(split, seed).iterations <= clustering.KMEANS_MAX_ITER
+        result = hga.run_hga(split, hga.HgaConfig(population_size=4, max_generations=3, seed=seed))
+        best = python_fitness(xy.tolist(), result.best_chromosome.genes.tolist())
+        assert result.best_fitness.hex() == best.hex()
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_guard_refuses_past_its_bound(self):
+        n = 1500
+        for level, refused in ((0.999, False), (1.001, True)):
+            same_x = np.stack((np.full(n, math.sqrt(level / n) * 2.0**560), np.zeros(n)), 1)
+            for xy in (spread_points(n, level, 0.5, 0), same_x, -same_x):
+                if refused:
+                    with pytest.raises(InputError, match="squared distances"):
+                        clustering.SplitPoints(xy)
+                else:
+                    clustering.SplitPoints(xy)
+        # every x two floats under 2**(1023 - bit_length(n + 1)), the sigma bound for sums of n
+        # coordinates: their mean rounds 2**959 off them, and that distance's square overflows
+        near_top = 2.0 ** (1023 - (n + 1).bit_length()) * (1 - 2 * 2.0**-53)
+        same_x = np.stack((np.full(n, near_top), np.random.default_rng(0).normal(size=n)), 1)
+        mean = math.fsum([near_top] * n) / n
+        assert math.isinf((near_top - mean) * (near_top - mean))
+        with pytest.raises(InputError, match="squared distances"):
+            clustering.SplitPoints(same_x)
+        # no points and one point pass, and reach the ContractErrors of their callers
+        with pytest.raises(ContractError, match="2 clusters infeasible for 0 points"):
+            kmeans(np.empty((0, 2)), 0)
+        from hgaclust import hga
+
+        with pytest.raises(ContractError, match="need at least 2 points"):
+            hga.init_population(np.ones((1, 2)), hga.HgaConfig(), np.random.default_rng(0))
 
 
 class TestSplitSeam:
@@ -588,13 +688,12 @@ class TestKmeans:
                 for earlier, later in zip(res.objective_trace, res.objective_trace[1:])
             )
 
-    @pytest.mark.filterwarnings("error")  # the overflowing square is meant: no warning
-    @pytest.mark.parametrize("seed", range(4))
-    def test_a_point_at_1e200_finishes_without_a_warning(self, seed):
+    @pytest.mark.filterwarnings("error")  # refused before any square is taken: no warning
+    def test_a_point_at_1e200_is_refused(self):
+        # a distance of 1e200 squares to inf: the split refuses the points
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [2.0, 1.0]])
-        res = kmeans(pts, seed)
-        assert 1 <= res.iterations < clustering.KMEANS_MAX_ITER
-        assert res.genes.tolist() in ([0, 0, 1, 0], [1, 1, 0, 1])
+        with pytest.raises(InputError, match="squared distances"):
+            kmeans(pts, 0)
 
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(ContractError, match="2 clusters infeasible for 1 points"):

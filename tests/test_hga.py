@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hgaclust import clustering, hga
 from hgaclust.clustering import Chromosome, chromosome_fitness
-from hgaclust.errors import ContractError
+from hgaclust.errors import ContractError, InputError
 from hgaclust.hga import (
     HgaConfig,
     Population,
@@ -347,11 +347,8 @@ class TestOnDemandTotal:
             ([[1.5, -0.5], [1.5, -1.0], [1.5, -1.5], [1.5, 1.5], [0.5, -1.5]], "11110", False),
             (TWO_PAIRS, "0011", False),
             (TWO_PAIRS, "1111", False),
-            ([[0, 0], [1, 0], [math.nan, 0], [5, 0]], "0011", False),
-            # point 3 moves off the infinite centroid; both totals are NaN
-            ([[0, 0], [1, 0], [math.inf, 0], [5, 0]], "0011", False),
         ],
-        ids=["tie", "rejected", "no-move", "empty-cluster", "nan", "inf"],
+        ids=["tie", "rejected", "no-move", "empty-cluster"],
     )
     def test_exact_path(self, points, genes, kept, monkeypatch):
         improved, chrom, bases, summed = self._improve(monkeypatch, points, genes)
@@ -360,6 +357,15 @@ class TestOnDemandTotal:
         # kept on a tie, or the input: the total read back is the input's, bit for bit
         total = chromosome_fitness(np.array(points, dtype=float), improved).total
         assert total.hex() == bases[0].total.hex()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_point_is_refused(self, value):
+        # a NaN or inf coordinate would make NaN totals: the split refuses it before any sum
+        points = np.array([[0, 0], [1, 0], [value, 0], [5, 0]])
+        with pytest.raises(InputError, match="finite"):
+            deterministic_improvement(points, bits("0011"))
+        with pytest.raises(InputError, match="finite"):
+            chromosome_fitness(points, bits("0011"))
 
     def test_clear_gain_skips_the_exact_total(self, monkeypatch):
         points = [[10.0, 0.0], [0.0, 0.0], [2.0, 0.0], [10.0, 2.0], [12.0, 0.0]]
@@ -789,9 +795,10 @@ class TestRunHgaOracle:
 
 
 class TestGenerationBlocks:
-    """The loop builds and scores K generations' children as one block. A stale generation is
-    rebuilt and scored alone, as is every one once two children pass BLOCK_CELLS (K = 1, one row
-    per scoring pass). Both kinds must occur for the oracle comparisons to cover them."""
+    """The loop builds and scores K generations' children as one block, on one scoring path: the
+    split refuses points whose sums could fail. A stale generation is rebuilt and scored alone,
+    and once two children pass BLOCK_CELLS every generation is its own block (K = 1, one row per
+    scoring pass). Both kinds must occur for the oracle comparisons to cover them."""
 
     @staticmethod
     def _oracle_runs(monkeypatch, points, seeds, **knobs):
@@ -844,7 +851,7 @@ class TestGenerationBlocks:
         # a coarse grid, so that ties and rejections come up; K = 2 at population 12
         points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
         counts, _ = self._oracle_runs(monkeypatch, points, range(4), population_size=12)
-        # finite sums never fail, so exactly the stale generations are rebuilt
+        # exactly the stale generations are rebuilt
         assert all(rebuilt == stale for _, rebuilt, stale in counts)
         generations, _, stale = map(sum, zip(*counts))
         assert 0 < stale < generations  # some generations were stale, most came from blocks
@@ -857,81 +864,29 @@ class TestGenerationBlocks:
         assert counts == [(3, 0, 0)]
         assert set(passes) == {1}  # init, children and candidates each scored a row at a time
 
-    def test_an_infinite_coordinate_scores_nan_without_a_warning(self, monkeypatch):
-        # inf - inf against the infinite centroid: every two-sided row scores NaN, so no
-        # child ever replaces one; the suite turns any RuntimeWarning into an error
+    def test_an_infinite_coordinate_is_refused(self):
+        # inf - inf against the infinite centroid would score NaN: refused before any draw
         points = np.random.default_rng(2).normal(size=(12, 2))
         points[3, 0] = math.inf
-        counts, _ = self._oracle_runs(monkeypatch, points, [0], population_size=8)
-        assert counts == [(16, 16, 0)]  # NaN parents never compare equal: all rebuilt
+        with pytest.raises(InputError, match="finite"):
+            run_hga(points, HgaConfig(population_size=8))
 
-    @staticmethod
-    def _outcome(points, config):
-        try:
-            return _run_signature(run_hga(points, config))
-        except (OverflowError, ValueError) as exc:
-            return type(exc).__name__, str(exc)
-
-    def test_failing_sums_raise_as_one_row_at_a_time(self, monkeypatch):
-        # fsum overflows or meets inf - inf only for some assignments; at BLOCK_CELLS = 1 every
-        # row is scored alone, one generation at a time, which names the first failing row
+    def test_coordinates_whose_sums_would_fail_are_refused(self):
+        # inf - inf, or two points near +-1.7e308, would make fsum raise for some assignments
+        # mid-run: refused before the first draw
         pairs = [(math.inf, -math.inf), (1.7e308, 1.7e308), (-1.7e308, -1.7e308)]
-        seen = set()
         for seed in range(90):
             rng = np.random.default_rng(seed)
             points = rng.normal(size=(12, 2))
             points[rng.choice(12, 2, replace=False), 0] = pairs[seed % 3]
             config = HgaConfig(population_size=2, max_generations=40, seed=seed,
                                improve_initial_population=bool(seed % 2))
-            outcome = self._outcome(points, config)
-            with monkeypatch.context() as patch:
-                patch.setattr(hga, "BLOCK_CELLS", 1)
-                assert outcome == self._outcome(points, config)
-            try:
-                init_population(points, config, np.random.default_rng(seed), {})
-                seen.add(outcome[0] if outcome[0].endswith("Error") else "passed")
-            except (OverflowError, ValueError):
-                pass
-        # both fsum failures came up in the loop, after a clean initial population; runs passed too
-        assert seen == {"OverflowError", "ValueError", "passed"}
-
-    def test_failing_rows_raise_in_row_order(self, monkeypatch):
-        # a kernel that fails on some gene rows, as fsum does, and names the row; the run must
-        # stop at the row, and the generation, that scoring a row at a time meets first
-        block_fitness = hga.fitness_block
-
-        def failing(split, genes):
-            for row in genes:
-                digest = hashlib.md5(row.tobytes()).hexdigest()
-                if int(digest, 16) % 50 == 0:
-                    raise OverflowError(f"intermediate overflow in fsum at {digest}")
-            return block_fitness(split, genes)
-
-        def outcome(config):
-            generations = []
-            try:
-                result = run_hga(points, config, lambda g, *_: generations.append(g))
-                return _run_signature(result), len(generations)
-            except OverflowError as exc:
-                return str(exc), len(generations)
-
-        monkeypatch.setattr(hga, "fitness_block", failing)
-        points = np.random.default_rng(0).integers(-3, 4, size=(20, 2)) / 2
-        failed_in_loop = passed = 0
-        for seed, size in itertools.product(range(40), (12, 40)):  # K = 2 and K = 5
-            config = HgaConfig(population_size=size, max_generations=200, seed=seed,
-                               improve_initial_population=bool(seed % 2))
-            result, generations = outcome(config)
-            with monkeypatch.context() as patch:
-                patch.setattr(hga, "BLOCK_CELLS", 1)
-                assert (result, generations) == outcome(config)
-            failed_in_loop += isinstance(result, str) and generations > 0
-            passed += not isinstance(result, str)
-        assert failed_in_loop and passed
+            with pytest.raises(InputError):
+                run_hga(points, config)
 
     @pytest.mark.parametrize("rows", [12, 4], ids=["init", "block"])
-    def test_other_errors_are_not_taken_for_failing_sums(self, rows, monkeypatch):
-        # redone a row at a time, a block would pass: the error must come out as it is
+    def test_a_kernel_error_propagates(self, rows, monkeypatch):
+        # nothing catches a kernel error: it comes out of the run as it is
         block_fitness = hga.fitness_block
 
         def broken(split, genes):
