@@ -246,6 +246,7 @@ class TestOnDemandTotal:
             ([0.0, 0.0], 0.0, False),
             ([2.0**-1001, 2.0**-1001], 0.0, False),  # the plain sum is 2**-1000
             ([2.0**-1000, 2.0**-1000], 0.0, True),
+            ([2.0**998, 2.0**998], 1.0, True),
             ([2.0**999, 2.0**999], 1.0, True),  # no upper cut: guarded rows stay far below
         ],
     )
@@ -470,6 +471,13 @@ class TestSplitPoints:
         assert split.pieces.shape == (2 * split.rows + 1, projected.n_points)
         assert split.totals[-1] == projected.n_points
 
+    @pytest.mark.parametrize("genes", [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]])
+    def test_plain_axes_give_the_fsum_result(self, genes):
+        # the one pair of AXES the guard passes
+        xy = np.array([AXES["plain"], AXES["plain"]]).T.copy()
+        genes = np.array(genes, dtype=np.uint8)
+        assert split_centroids(xy, genes) == fsum_centroids(xy, genes) != "refused"
+
     @pytest.mark.filterwarnings("error")  # refused by reductions alone: no warning
     @pytest.mark.parametrize(
         "x, y", [(x, y) for x in AXES for y in AXES if (x, y) != ("plain", "plain")])
@@ -689,11 +697,14 @@ class TestKmeans:
             )
 
     @pytest.mark.filterwarnings("error")  # refused before any square is taken: no warning
-    def test_a_point_at_1e200_is_refused(self):
-        # a distance of 1e200 squares to inf: the split refuses the points
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0], [2.0, 1.0]])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_point_at_1e200_is_refused(self, seed):
+        # a distance of 1e200 squares to inf: the split refuses the points, wherever the far
+        # point sits and whatever the seed
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
+        pts[seed, 0] = 1e200
         with pytest.raises(InputError, match="squared distances"):
-            kmeans(pts, 0)
+            kmeans(pts, seed)
 
     def test_more_clusters_than_points_rejected(self):
         with pytest.raises(ContractError, match="2 clusters infeasible for 1 points"):

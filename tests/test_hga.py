@@ -864,10 +864,11 @@ class TestGenerationBlocks:
         assert counts == [(3, 0, 0)]
         assert set(passes) == {1}  # init, children and candidates each scored a row at a time
 
-    def test_an_infinite_coordinate_is_refused(self):
-        # inf - inf against the infinite centroid would score NaN: refused before any draw
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_a_non_finite_coordinate_is_refused(self, value):
+        # inf - inf against an infinite centroid, or a NaN, would score NaN: refused before any draw
         points = np.random.default_rng(2).normal(size=(12, 2))
-        points[3, 0] = math.inf
+        points[3, 0] = value
         with pytest.raises(InputError, match="finite"):
             run_hga(points, HgaConfig(population_size=8))
 
