@@ -14,16 +14,16 @@ run seed, so a run is a pure function of (points, config). The initial genes are
 last word), as one call per row. The loop runs in blocks of K generations: one ``integers``
 call over the block's bounds takes its draws, with the values and final state of one scalar
 call per draw, and no draw depends on the data.
-:func:`_children` builds a block's children, one scoring pass scores them, and
-:func:`_offspring` applies the generations in order; one whose parent row was replaced
-earlier in its block is rebuilt and scored alone. Fitness is a pure function of the genes,
-so every result is bit-identical to one generation at a time.
+:func:`_children` builds a block's children and one scoring pass scores them; then
+:func:`run_hga` runs the generations in order, and one whose parent row was replaced earlier
+in its block is rebuilt and scored alone. Fitness is a pure function of the genes, so every
+result is bit-identical to one generation at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -232,25 +232,13 @@ def _children(genes: np.ndarray, block: np.ndarray) -> np.ndarray:
     return children
 
 
-def _offspring(split, pop, draw: Callable[[], np.ndarray], improve, memo) -> Iterator[zip]:
-    """Each generation's two scored children, built and scored a block of ``draw()`` (one row
-    per generation) at a time. One whose parent row's fitness changed since (a replacement
-    lowers it) is stale: it is rebuilt from the updated matrix and scored alone."""
-    while True:
-        block = draw()
-        parents = [pair.tolist() for pair in _distinct_pair(block[:, 0], block[:, 1])]
-        children, fitness = _children(pop.genes, block), np.empty(2 * len(block))
-        _score_into(split, children, fitness, improve, memo)
-        for g, (i, j, fi, fj) in enumerate(zip(*parents, *pop.fitness[parents].tolist())):
-            rows = slice(2 * g, 2 * g + 2)
-            if pop.fitness[i] != fi or pop.fitness[j] != fj:
-                children[rows] = _children(pop.genes, block[g:g + 1])
-                _score_into(split, children[rows], fitness[rows], improve, memo)
-            yield zip(children[rows], fitness[rows])
-
-
 def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> HgaResult:
-    """Run the full loop; deterministic given (points, config), with a finite best fitness."""
+    """Run the full loop; deterministic given (points, config), with a finite best fitness.
+
+    A generation whose parent row's fitness changed since its block was scored (a replacement
+    lowers it) is stale: it is rebuilt from the updated matrix and scored alone. The population
+    minimum is carried, not rescanned: only an accepted child can lower it.
+    """
     split = as_points(points)
     rng = np.random.default_rng(config.seed)
     memo: dict[bytes, float] = {}
@@ -261,33 +249,29 @@ def run_hga(points, config: HgaConfig, trace_sink: TraceSink | None = None) -> H
     # positions below n and n - 1 per child
     bounds = [(0, size), (0, size - 1), (1, n)] + [(0, n), (0, n - 1)] * 2 * config.mutation_enabled
     low, high = np.tile(np.array(bounds).T, k)
-    draw = lambda: rng.integers(low, high).reshape(k, len(bounds))
-    offspring = _offspring(split, pop, draw, improve, memo)
+    window, cap = config.doldrum_factor * size, config.max_generations
+    current_min, doldrum, trace = pop.min_fitness, 0, []
 
-    window = config.doldrum_factor * config.population_size
-    doldrum = 0
-    current_min = pop.min_fitness
-    trace: list[float] = []
-    terminated_by = "cap"
-    generation = 0
-
-    while generation < config.max_generations:
-        generation += 1
-        for genes, fitness in next(offspring):
-            steady_state_replace(pop, genes, fitness)
-
-        new_min = pop.min_fitness
-        if new_min < current_min:
-            doldrum = 0
-            current_min = new_min
-        else:
+    while len(trace) < cap and doldrum < window:
+        block = rng.integers(low, high).reshape(k, len(bounds))
+        parents = [pair.tolist() for pair in _distinct_pair(block[:, 0], block[:, 1])]
+        children, fitness = _children(pop.genes, block), np.empty(2 * k)
+        _score_into(split, children, fitness, improve, memo)
+        for g, (i, j, fi, fj) in enumerate(zip(*parents, *pop.fitness[parents].tolist())):
+            rows = slice(2 * g, 2 * g + 2)
+            if pop.fitness[i] != fi or pop.fitness[j] != fj:
+                children[rows] = _children(pop.genes, block[g:g + 1])
+                _score_into(split, children[rows], fitness[rows], improve, memo)
             doldrum += 1
-        trace.append(new_min)
-        if trace_sink is not None:
-            trace_sink(generation, new_min, pop.max_fitness)
-        if doldrum >= window:
-            terminated_by = "doldrum"
-            break
+            for genes, value in zip(children[rows], fitness[rows].tolist()):
+                if steady_state_replace(pop, genes, value) and value < current_min:
+                    current_min, doldrum = value, 0
+            trace.append(current_min)
+            if trace_sink is not None:
+                trace_sink(len(trace), current_min, pop.max_fitness)
+            if len(trace) == cap or doldrum >= window:
+                break  # the rest of the block's draws go unused
 
     best = Chromosome(pop.genes[pop.fitness.argmin()].copy())  # the first minimum on ties
-    return HgaResult(best, pop.min_fitness, generation, trace, terminated_by)
+    terminated_by = "doldrum" if doldrum >= window else "cap"
+    return HgaResult(best, current_min, len(trace), trace, terminated_by)

@@ -448,24 +448,35 @@ class TestBlockDraws:
         [(12, 20, 2), (104, 20, 13), (800, 20, 100), (3, hga.BLOCK_CELLS // 2 + 1, 1)],
     )
     def test_run_takes_one_call_per_block(self, size, n, k, monkeypatch):
-        taken, after_init = [], []
-        init, offspring = hga.init_population, hga._offspring
+        taken, rebuilt, after_init = [], [], []
+        init, children = hga.init_population, hga._children
 
         def spy_init(split, config, rng, memo):
             pop = init(split, config, rng, memo)
             after_init.append((rng, rng.bit_generator.state))
             return pop
 
-        def spy_offspring(split, pop, draw, *rest):
-            return offspring(split, pop, lambda: taken.append(draw()) or taken[-1], *rest)
+        def spy_children(genes, block):
+            # a block's first call takes all its K draw rows; a stale rebuild takes block[g:g + 1]
+            if k > 1 and len(block) == 1:
+                g, offset = divmod(block.ctypes.data - taken[-1].ctypes.data, block.strides[0])
+                assert np.shares_memory(block, taken[-1]) and not offset
+                assert block.tolist() == taken[-1][g:g + 1].tolist()
+                rebuilt.append((len(taken), g))
+            else:
+                taken.append(block)
+            return children(genes, block)
 
         monkeypatch.setattr(hga, "init_population", spy_init)
-        monkeypatch.setattr(hga, "_offspring", spy_offspring)
+        monkeypatch.setattr(hga, "_children", spy_children)
         points = np.random.default_rng(0).normal(size=(n, 2))
         config = HgaConfig(population_size=size, doldrum_factor=100,
                            max_generations=self.GENERATIONS)
         assert run_hga(points, config).generations_run == self.GENERATIONS
         assert [len(block) for block in taken] == [k] * -(-self.GENERATIONS // k)
+        # at most once per generation, in order; these runs all have a stale generation at K > 1,
+        # and at K = 1 none can be stale
+        assert rebuilt == sorted(set(rebuilt)) and bool(rebuilt) == (k > 1)
         ((rng, state),) = after_init
         scalar = np.random.default_rng()
         scalar.bit_generator.state = state
@@ -863,6 +874,18 @@ class TestGenerationBlocks:
             monkeypatch, points, [0], population_size=3, max_generations=3)
         assert counts == [(3, 0, 0)]
         assert set(passes) == {1}  # init, children and candidates each scored a row at a time
+
+    @pytest.mark.parametrize("cap, stop", [(2, (2, "cap")), (3, (3, "doldrum")),
+                                           (4, (3, "doldrum"))])
+    def test_a_stop_inside_a_block_drops_the_rest_of_it(self, cap, stop):
+        # K = 2 at population 2, and the doldrum window of 2 closes at generation 3, the first
+        # of the second block: a cap of 3 closes on the same generation, and the doldrum wins
+        points = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
+        knobs = {"population_size": 2, "doldrum_factor": 1, "seed": 0, "max_generations": cap}
+        result = run_hga(np.array(points), HgaConfig(**knobs))
+        _, _, trace, terminated_by = python_run_hga(points, **knobs)
+        assert (result.generations_run, result.terminated_by) == (len(trace), terminated_by) == stop
+        assert [value.hex() for value in result.min_fitness_trace] == [v.hex() for v in trace]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_a_non_finite_coordinate_is_refused(self, value):
