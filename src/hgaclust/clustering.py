@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,18 +60,11 @@ class Chromosome:
 
 @dataclass(frozen=True, eq=False)
 class FitnessBreakdown:
-    """Each point's (2, n) distances to both centroids and to its ``own``; None if one is empty.
-    ``total`` is summed on first read and kept, so read it before ``genes`` change."""
+    """The exact fitness ``total`` (+inf if a cluster is empty) and each point's (2, n)
+    ``distances`` to both centroids (None if a cluster is empty), both fixed when measured."""
 
+    total: float
     distances: np.ndarray | None
-    own: np.ndarray | None
-    genes: np.ndarray
-
-    @cached_property
-    def total(self) -> float:
-        if self.own is None:
-            return math.inf
-        return fitness_totals(self.own[None], self.genes[None]).item()
 
 
 def lower_bounds(own: np.ndarray) -> np.ndarray:
@@ -206,16 +198,17 @@ def fitness_block(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, ..
 def chromosome_fitness(
     points: SplitPoints | ProjectedDataset | np.ndarray, chrom: Chromosome
 ) -> FitnessBreakdown:
-    """Every point's distance to both centroids and to its own; the total is summed when read.
+    """The exact total and every point's distance to both centroids, both computed here.
 
-    The total is +inf if either cluster is empty. The chromosome is not modified.
+    The total is +inf if either cluster is empty. The chromosome is neither modified nor kept.
     """
     split = as_points(points)
     n = split.coords.shape[1]
     if chrom.genes.size != n:
         raise ContractError(f"chromosome length {chrom.genes.size} != point count {n}")
     d, own, empty = fitness_block(split, chrom.genes[None])
-    return FitnessBreakdown(*((None, None) if empty[0] else (d[0], own[0])), chrom.genes)
+    total = fitness_totals(own, chrom.genes[None], empty).item()
+    return FitnessBreakdown(total, None if empty[0] else d[0])
 
 
 def nearest(d_low: np.ndarray, d_high: np.ndarray, genes: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -51,8 +52,8 @@ class ExperimentConfig(HgaConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.replicates < 1:
-            raise InputError(f"replicates must be at least 1, got {self.replicates}")
+        if not 1 <= self.replicates <= sys.maxsize:
+            raise InputError(f"replicates must be in 1..{sys.maxsize}, got {self.replicates}")
 
 
 @contextmanager

@@ -151,18 +151,16 @@ def two_point_mutation(genes: np.ndarray, positions: tuple[int, int]) -> None:
 def deterministic_improvement(points, chrom: Chromosome, memo: dict | None = None) -> Chromosome:
     """One nearest-centroid reassignment pass with guarded acceptance: :func:`_improve` on one row.
 
-    The input is evaluated once; :func:`nearest` reads the candidate off that evaluation's
-    distances. A kept candidate comes back as a new chromosome; otherwise, or when no point
-    moves or a cluster is empty, the input comes back. The input is never modified.
+    The input is evaluated once: :func:`nearest` reads the candidate off its distances, kept as
+    a new chromosome iff its fitness is at most the input's exact total. Otherwise, or when no
+    point moves or a cluster is empty, the input comes back. The input is never modified.
     """
     split = as_points(points)
-    base = chromosome_fitness(split, chrom)
-    genes, cand, bounds = chrom.genes[None], chrom.genes[None], [np.nan]  # empty: nothing moves
-    if base.distances is not None:
-        cand, bounds = nearest(*base.distances, chrom.genes)[None], lower_bounds(base.own[None])
+    base, genes = chromosome_fitness(split, chrom), chrom.genes[None]
+    cand = genes if base.distances is None else nearest(*base.distances, chrom.genes)[None]
     score = lambda rows: np.array([chromosome_fitness(split, Chromosome(r)).total for r in rows])
     memo = {} if memo is None else memo
-    (kept,), _ = _improve(genes, cand, bounds, lambda rows: [base.total], score, memo)
+    (kept,), _ = _improve(genes, cand, [base.total], lambda rows: [base.total], score, memo)
     return Chromosome(cand[0]) if kept else chrom
 
 
@@ -170,7 +168,7 @@ def _improve(genes, cands, bounds, exact, score, memo) -> tuple[np.ndarray, np.n
     """The improvement rule over a (B, n) block: which rows keep their candidate, and each fitness.
 
     A candidate (``cands``) that moves a point is kept if its fitness does not exceed its row's:
-    at most the row's ``bounds`` (:func:`lower_bounds`) entry keeps it, else ``exact(rows)``,
+    at most the row's ``bounds`` entry (at most its exact total) keeps it, else ``exact(rows)``,
     the exact totals of the rows left, decides. ``memo`` maps packed candidates to their totals
     (most children fall onto a few local optima); distinct misses go to one ``score(rows)``
     call, kept to MEMO_BUDGET_BYTES.

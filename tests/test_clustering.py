@@ -213,7 +213,7 @@ WIDE_SPAN += [2.0 ** -1000, 3.0]
 
 
 class TestOnDemandTotal:
-    """``FitnessBreakdown.total`` is summed on first read; ``lower_bounds`` decides without it."""
+    """``FitnessBreakdown.total`` is the exact total; ``lower_bounds`` decides without it."""
 
     @pytest.mark.parametrize("extraction", [False, True], ids=["fsum", "extraction"])
     def test_first_read_gives_the_exact_total(self, extraction, monkeypatch):
@@ -224,11 +224,8 @@ class TestOnDemandTotal:
             n = int(rng.integers(2, 40))
             pts = rng.normal(0, 50, size=(n, 2))
             genes = rng.integers(0, 2, n, dtype=np.uint8)
-            breakdown = chromosome_fitness(pts, Chromosome(genes))
-            assert "total" not in breakdown.__dict__
-            total = breakdown.total
+            total = chromosome_fitness(pts, Chromosome(genes)).total
             assert total.hex() == python_fitness(pts.tolist(), genes.tolist()).hex()
-            assert breakdown.__dict__["total"] is total
 
     THREE = 3.0 * (1 - 10 * 2.0**-52)  # the plain sum 1 + 2 less its margin for n = 2
 

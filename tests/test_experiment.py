@@ -416,7 +416,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [[command, *knob] for command in ("experiment", "hga") for knob in BAD_GA_KNOBS]
-        + [["experiment", "--replicates", "0"]]
+        + [["experiment", "--replicates", "0"], ["experiment", "--replicates", str(2**63)]]
         + [[command, "--seed", "-1"] for command in ("experiment", "kmeans", "hga")],
         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv[:2])
         + (f"-{len(argv[2])}-digits" if len(argv[2]) > 2 else ""),
