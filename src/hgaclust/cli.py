@@ -124,7 +124,7 @@ def _emit(args: argparse.Namespace, report: dict) -> None:
     if args.output:
         emit_report(report, args.format, args.output)
     else:
-        sys.stdout.writelines(render_report(report, args.format))
+        sys.stdout.write(render_report(report, args.format))
 
 
 @contextmanager
@@ -148,7 +148,7 @@ def _cmd_pca(args: argparse.Namespace, config: ExperimentConfig) -> None:
         "n_points": projected.n_points,
         "output": args.output,
     }
-    sys.stdout.writelines(render_report(summary))
+    sys.stdout.write(render_report(summary))
 
 
 def _cmd_kmeans(args: argparse.Namespace, config: ExperimentConfig) -> None:

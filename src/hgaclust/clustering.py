@@ -6,12 +6,12 @@ A chromosome assigns each projected point to cluster 0 (low risk) or 1
 lower is better. A chromosome that leaves either cluster empty gets
 fitness +inf so it loses every replacement comparison.
 
-The two-cluster geometry is written once, for a (B, n) block of gene rows:
-:func:`fitness_block` measures every point against both centroids of every row in
-one (B, 2, n) pass (:func:`chromosome_fitness` is its one-row case), and
-:func:`nearest` turns two distance rows into one branch-free reassignment pass. The
-GA's improvement step runs it once on its own evaluation's distances; k-means
-repeats it until no point moves. Evaluating a chromosome does not modify it.
+The two-cluster geometry is written once, for a (B, n) block of gene rows: :func:`fitness_block`
+measures every point against both centroids of every row in one (B, 2, n) pass
+(:func:`chromosome_fitness` is its one-row case; :func:`own_distances` gives its own-centroid
+side alone, bit for bit), and :func:`nearest` turns two distance rows into one branch-free
+reassignment pass. The GA's improvement step runs it once on its own evaluation's distances;
+k-means repeats it until no point moves. Evaluating a chromosome does not modify it.
 
 Sums are correctly rounded, with math.fsum's bits, so fitness values and the k-means
 traces do not depend on evaluation order or block size and match an independently coded
@@ -193,6 +193,16 @@ def fitness_block(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, ..
     own &= bits[:, 0] ^ bits[:, 1]
     own ^= bits[:, 0]
     return d, own.view(np.float64), (counts == 0).any(1)
+
+
+def own_distances(split: SplitPoints, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fitness_block`'s ``own`` and empty flags, bit for bit: each point's own centroid
+    is taken first, then one (B, n) pass in :meth:`SplitPoints.distances`' operation order."""
+    means, counts = split.centroids(genes)
+    at = genes + np.arange(0, 2 * len(genes), 2)[:, None]  # row b's low mean at 2b, high at 2b + 1
+    d = means.transpose(2, 0, 1).reshape(2, -1).take(at, axis=1)  # (2, B, n): x and y
+    np.square(np.subtract(split.coords[:, None], d, out=d), out=d)
+    return np.sqrt(np.add(*d, out=d[0]), out=d[0]), (counts == 0).any(1)
 
 
 def chromosome_fitness(

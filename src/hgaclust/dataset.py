@@ -175,7 +175,7 @@ def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:
         if observed.size == 0:
             raise InputError(f"column {HEART_COLUMNS[j]!r} has no observed values")
         if strategy == "median":
-            fill = float(np.median(observed))
+            fill = median(observed)
         else:
             uniq, counts = np.unique(observed, return_counts=True)
             fill = float(uniq[np.argmax(counts)])  # ties: smallest value
@@ -183,6 +183,14 @@ def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:
 
     marks = tuple((int(i), HEART_COLUMNS[j]) for i, j in np.argwhere(nan_mask))
     return RawDataset(values, marks)
+
+
+def median(values: np.ndarray) -> float:
+    """``float(np.median(values))``'s bits for NaN-free float64 ``values`` by its own steps (one
+    partition at its kth list, then the middle one or two values' mean), without numpy.ma."""
+    half, odd = divmod(values.size, 2)
+    middle = np.partition(values, [half - 1, half][odd:] + [-1])[half - 1 + odd:half + 1]
+    return float(middle.mean())
 
 
 def split_features_target(data: RawDataset) -> tuple[FeatureMatrix, np.ndarray]:

@@ -24,13 +24,12 @@ from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from . import __version__
 from .clustering import Chromosome, as_points, check_summable, chromosome_fitness, kmeans
-from .dataset import impute_missing, load_heart_csv, split_features_target, standardize
+from .dataset import impute_missing, load_heart_csv, median, split_features_target, standardize
 from .errors import ContractError, HgaClustError, InputError
 from .evaluation import align_clusters_to_labels, confusion_matrix, metrics
 from .hga import HgaConfig, run_hga
@@ -251,7 +250,7 @@ def run_experiment(config: ExperimentConfig, trace_sink=None) -> dict:
     if config.replicates > 1:
         wins = sum(1 for r in rows if r["hga_accuracy_pct"] >= r["kmeans_accuracy_pct"])
         summary = report["replicate_summary"] = {
-            f"median_{key}": float(np.median([r[key] for r in rows]))
+            f"median_{key}": median(np.array([r[key] for r in rows]))
             for key in ("hga_fitness", "kmeans_fitness", "hga_accuracy_pct", "kmeans_accuracy_pct")
         }
         summary["hga_accuracy_at_least_kmeans_fraction"] = wins / len(rows)
@@ -272,19 +271,31 @@ def load_report_schema() -> dict:
     return json.loads(text)
 
 
-def render_report(report: dict, format: str = "json") -> Iterator[str]:
-    """The report's text in chunks: full JSON, or a header plus one row of headline metrics.
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)`` for str-keyed dicts, nested
+    past ``indent`` (a newline and the enclosing level's spaces); leaves go to json.dumps."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:  # plain finite floats or plain ints: one join
+        kind = set(map(type, value))
+        flat = kind == {int} or kind == {float} and math.isfinite(sum(value))  # no NaN, no inf
+        items = map(kind.pop().__repr__, value) if flat else (_json(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_json(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(value, allow_nan=False)
 
-    Chunks spare a large report one whole string and its encoded copy.
+
+def render_report(report: dict, format: str = "json") -> str:
+    """The report's text: full JSON, or a header plus one row of headline metrics.
+
     JSON refuses NaN and infinity. The CSV columns follow the report's
     insertion order, so the metric columns come in :class:`Metrics` order.
     """
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     if format == "json":
-        yield from json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(report)
-        yield "\n"
-        return
+        return _json(report) + "\n"
     if "hga" in report:
         config, hga = report["config"], report["hga"]
         columns = {
@@ -300,13 +311,13 @@ def render_report(report: dict, format: str = "json") -> Iterator[str]:
         }
     else:  # evaluation-only report (confusion + metrics)
         columns = {**report["confusion"], **report["metrics_display"]}
-    yield ",".join(columns) + "\n" + ",".join(str(v) for v in columns.values()) + "\n"
+    return ",".join(columns) + "\n" + ",".join(str(v) for v in columns.values()) + "\n"
 
 
 def emit_report(report: dict, format: str = "json", path: str | Path = "report.json") -> Path:
     """Write :func:`render_report`'s text to ``path``; a refused report leaves no file."""
     with output_file(path) as handle:
-        handle.writelines(render_report(report, format))
+        handle.write(render_report(report, format))
     return Path(path)
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .clustering import (Chromosome, as_points, chromosome_fitness, fitness_block, fitness_totals,
-                         lower_bounds, nearest)
+                         lower_bounds, nearest, own_distances)
 from .errors import ContractError, InputError
 
 TraceSink = Callable[[int, float, float], None]
@@ -191,9 +191,10 @@ def _improve(genes, cands, bounds, exact, score, memo) -> tuple[np.ndarray, np.n
 
 def _scored_block(split, genes: np.ndarray, improve: bool, memo: dict) -> np.ndarray:
     """Each row's fitness, a (B, n) block's rows first improved in place with ``memo`` if asked."""
-    d, own, empty = fitness_block(split, genes)
-    if not improve:
+    if not improve:  # the totals alone: no distance to the other centroid is read
+        own, empty = own_distances(split, genes)
         return fitness_totals(own, genes, empty)
+    d, own, empty = fitness_block(split, genes)
     cands = nearest(d[:, 0], d[:, 1], genes)  # NaN distances keep a row with an empty cluster
     exact = lambda rows: fitness_totals(own[rows], genes[rows], empty[rows])
     score = lambda rows: _scored_block(split, rows, False, memo)

@@ -575,6 +575,26 @@ class TestGuardEdges:
             hga.init_population(np.ones((1, 2)), hga.HgaConfig(), np.random.default_rng(0))
 
 
+class TestOwnDistances:
+    """The own side alone, for rows whose totals are all that is read: fitness_block's bits."""
+
+    @pytest.mark.parametrize("n", [303, 5000], ids=["n303", "n5000"])  # both sides of 4,096
+    @pytest.mark.parametrize("rows", [1, 2, 27])
+    @pytest.mark.parametrize("empty", [False, True], ids=["filled", "empty"])
+    def test_matches_fitness_block_bit_for_bit(self, n, rows, empty):
+        rng = np.random.default_rng(n + rows)
+        split = clustering.SplitPoints(rng.normal(0, 3, size=(n, 2)))
+        genes = rng.integers(0, 2, (rows, n), dtype=np.uint8)
+        if empty:  # the last row all high, the first all low (one row: all low)
+            genes[-1], genes[0] = 1, 0
+        _, own, empty_rows = clustering.fitness_block(split, genes)
+        distances, empty_flags = clustering.own_distances(split, genes)
+        assert distances.shape == (rows, n)
+        assert np.array_equal(distances.view(np.int64), own.view(np.int64))
+        assert empty_flags.tolist() == empty_rows.tolist()
+        assert empty_flags.any() == empty
+
+
 class TestSplitSeam:
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -231,6 +231,25 @@ class TestImpute:
         assert data.values[2, 11] == 2.0
         assert data.imputed_cells == ((2, "ca"),)
 
+    @pytest.mark.parametrize("observed", [
+        [3.0, 1.0, 2.0, 2.0, 5.0],  # odd, a duplicate in the middle
+        [4.0, 1.0, 4.0, 1.0],  # even, duplicates on both sides
+        [7.5, -2.0, 7.5, 7.5, -2.0, 0.25],
+        [-0.0, -0.0, 0.0],  # mixed zeros in the middle: numpy's mean makes them +0.0
+        [-0.0],
+        [-0.0, 0.0, -0.0, 0.0],
+        [0.0, 1.0, -0.0, -1.0, -0.0, 0.0],
+        [1.7e308, 1.7e308, -1.0, 1.7e308],  # the middle pair's sum overflows: +inf
+        [-1.7e308, -1.7e308, 1.0, -1.7e308],
+    ])
+    def test_median_fill_is_numpys_median(self, observed):
+        values = np.zeros((len(observed) + 1, len(HEART_COLUMNS)))
+        values[:-1, 11], values[-1, 11] = observed, math.nan
+        with np.errstate(over="ignore"):  # the overflowing pairs warn in both
+            expected = float(np.median(np.array(observed)))
+            filled = impute_missing(RawDataset(values), "median").values[-1, 11]
+        assert filled.hex() == expected.hex()
+
     def test_mode_fill_prefers_smallest_on_ties(self, tmp_path):
         text = _rows(1, ca="3") + _rows(1, ca="1") + _rows(1, ca="?") + _rows(1, ca="1")
         data = impute_missing(load_heart_csv(_write(tmp_path, text)), "mode")

@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -31,6 +34,7 @@ from hgaclust.experiment import (
     emit_report,
     load_report_schema,
     normalize_report_timings,
+    render_report,
     run_experiment,
     write_csv_table,
 )
@@ -248,7 +252,59 @@ class TestRunExperiment:
             }
 
 
+# finite floats, the edges of float repr among them, and plain ints in flat lists (one join)
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-05, 1e16, sys.float_info.max, -sys.float_info.max])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | JSON_FLOATS | st.text()
+               | JSON_FLOATS.map(np.float64))
+JSON_TREES = st.recursive(
+    JSON_LEAVES | st.lists(JSON_FLOATS, max_size=8) | st.lists(st.integers(), max_size=8),
+    lambda kids: st.lists(kids, max_size=6) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestColdImports:
+    def test_a_run_never_imports_numpy_ma(self, heart_csv, tmp_path):
+        # np.median imports numpy.ma (~10 ms cold) for a masked-array check; the median fill
+        # (the fixture has missing cells) and the replicate medians take its steps without it
+        src = str(Path(experiment.__file__).parents[1])
+        script = ("import sys; from hgaclust import cli; code = cli.main(sys.argv[1:]); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        argv = ["experiment", "--input", heart_csv, "--population-size", "20",
+                "--replicates", "2", "--output", str(tmp_path / "r.json")]
+        path = os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["0", "False"], done.stderr
+
+
 class TestEmission:
+    @settings(max_examples=300)
+    @given(st.dictionaries(st.text(), JSON_TREES, max_size=6))
+    def test_json_text_is_the_indented_encoders(self, tree):
+        # the report's JSON text is the standard encoder's, byte for byte: non-ASCII keys and
+        # strings, tuples, empty containers, mixed lists, np.float64 leaves and float edges
+        assert render_report(tree) == json.dumps(
+            tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_json_text_of_overflowing_and_nested_flat_lists(self):
+        # a flat float list whose sum overflows is still written, one value per line
+        tree = {"\u00e9": [sys.float_info.max] * 2, "b": [[1, 2], [-0.0, 1e16], (), {}],
+                "c": [True, 1, 1.5, None, "x", np.float64(2.5)]}
+        assert render_report(tree) == json.dumps(
+            tree, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["scalar", "flat list"])
+    def test_non_finite_value_is_refused(self, value, where, tmp_path):
+        report = {"x": value} if where == "scalar" else {"x": {"y": [1.0, value, 2.0]}}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_report(report, "json", tmp_path / "r.json")
+        assert not (tmp_path / "r.json").exists()
+
     def test_json_round_trip(self, small_report, tmp_path):
         path = emit_report(small_report, "json", tmp_path / "r.json")
         assert json.loads(path.read_text()) == json.loads(

@@ -685,12 +685,13 @@ class TestBlockEqualsRow:
                 deterministic_improvement(split, Chromosome(row.copy()), memos[0])
             memos[1].update(memos[0])
         scored = {"block": 0, "rows": 0}
-        block_fitness, row_fitness = hga.fitness_block, hga.chromosome_fitness
+        row_fitness = hga.chromosome_fitness
         with pytest.MonkeyPatch.context() as patch:
             if undecided:  # every guard left to the exact totals
                 patch.setattr(hga, "lower_bounds", lambda own: np.full(len(own), math.nan))
-            patch.setattr(hga, "fitness_block", lambda split, g: scored.update(
-                block=scored["block"] + len(g)) or block_fitness(split, g))
+            for kernel in ("fitness_block", "own_distances"):  # block rows, with or without both
+                patch.setattr(hga, kernel, lambda split, g, f=getattr(hga, kernel): scored.update(
+                    block=scored["block"] + len(g)) or f(split, g))
             patch.setattr(hga, "chromosome_fitness", lambda split, c: scored.update(
                 rows=scored["rows"] + 1) or row_fitness(split, c))
             block_genes = genes.copy()
@@ -704,6 +705,21 @@ class TestBlockEqualsRow:
         totals = hga._scored_block(split, genes, False, {})
         assert [t.hex() for t in totals] == [chromosome_fitness(split, Chromosome(g)).total.hex()
                                              for g in genes]
+
+    @pytest.mark.parametrize("extraction", [False, True], ids=["fsum", "extraction"])
+    def test_totals_alone_match_the_rows(self, extraction, monkeypatch):
+        # the totals-only path (own distances alone) gives chromosome_fitness's bits on both
+        # sum paths: 40 points sum by fsum, and every sum is extracted past a crossover of 0
+        if extraction:
+            monkeypatch.setattr(clustering, "SUM_CROSSOVER", 0)
+        rng = np.random.default_rng(7)
+        split = clustering.as_points(rng.normal(0, 5, size=(40, 2)))
+        genes = rng.integers(0, 2, (9, 40), dtype=np.uint8)
+        genes[3], genes[6] = 0, 1  # empty clusters: +inf
+        totals = hga._scored_block(split, genes.copy(), False, {})
+        assert [t.hex() for t in totals] == [chromosome_fitness(split, Chromosome(g)).total.hex()
+                                             for g in genes]
+        assert math.isinf(totals[3]) and math.isinf(totals[6]) and np.isfinite(totals[:3]).all()
 
 
 def _run_signature(result):
@@ -762,6 +778,7 @@ class TestRunHgaMemo:
         for attribute, name, rows in [
             ("chromosome_fitness", "fitness", lambda args: 1),
             ("fitness_block", "fitness", lambda args: len(args[1])),
+            ("own_distances", "fitness", lambda args: len(args[1])),
             ("_improve", "improve", lambda args: len(args[0])),
         ]:
             monkeypatch.setattr(hga, attribute, counted(name, getattr(hga, attribute), rows))
@@ -915,17 +932,18 @@ class TestGenerationBlocks:
             with pytest.raises(InputError):
                 run_hga(points, config)
 
-    @pytest.mark.parametrize("rows", [12, 4], ids=["init", "block"])
-    def test_a_kernel_error_propagates(self, rows, monkeypatch):
+    @pytest.mark.parametrize("kernel, rows", [("own_distances", 12), ("fitness_block", 4)],
+                             ids=["init", "block"])
+    def test_a_kernel_error_propagates(self, kernel, rows, monkeypatch):
         # nothing catches a kernel error: it comes out of the run as it is
-        block_fitness = hga.fitness_block
+        scoring = getattr(hga, kernel)
 
         def broken(split, genes):
             if len(genes) == rows:  # all 12 initial rows, or a block of K = 2 generations
                 raise ValueError("operands could not be broadcast together")
-            return block_fitness(split, genes)
+            return scoring(split, genes)
 
-        monkeypatch.setattr(hga, "fitness_block", broken)
+        monkeypatch.setattr(hga, kernel, broken)
         points = np.random.default_rng(3).normal(size=(20, 2))
         with pytest.raises(ValueError, match="broadcast"):
             run_hga(points, HgaConfig(population_size=12, max_generations=5))
