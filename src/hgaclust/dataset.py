@@ -3,18 +3,21 @@
 File format: UTF-8 (a leading byte-order mark is skipped), comma separated,
 ``?`` as the only missing-value sentinel, columns in the fixed UCI order of
 :data:`HEART_COLUMNS`. One cell rule, :func:`_parse_cell`, holds for every
-cell: one bulk pass applies it, a file that fails is scanned only to name its
-first bad row or cell, and a first row in which no cell passes is a header. The
-target column is binarized on load: 0 stays 0 (low risk), any positive value
-becomes 1 (high risk).
+cell, and a first row in which no cell passes is a header. A plain file (past
+its header only digits, ``.+-eE``, spaces, tabs, ``?`` and commas) is converted
+by numpy's C reader in one call; any other file, or one the C reader would read
+otherwise, is read by :mod:`csv` and the rule row by row, which names its
+first bad row or cell. The target column is binarized on load: 0 stays 0 (low
+risk), any positive value becomes 1 (high risk).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain, tee
 from pathlib import Path
 
 import numpy as np
@@ -61,15 +64,16 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def _parse_cell(text: str) -> float:
-    """The cell rule: stripped, ``?`` is NaN and anything else must be a finite float."""
+def _parse_cell(text: str) -> float | None:
+    """The cell rule: stripped, ``?`` is NaN and anything else must be a finite float, else None."""
     text = text.strip()
     if text == MISSING_SENTINEL:
         return math.nan
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def load_heart_csv(path: str | Path) -> RawDataset:
@@ -83,72 +87,70 @@ def load_heart_csv(path: str | Path) -> RawDataset:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            raw_rows = list(csv.reader(handle))
+            text = handle.read()
+        rows = csv.reader(io.StringIO(text, newline=""))
+        first = next(rows, [])
+        header = bool(first) and all(_parse_cell(cell) is None for cell in first)
+        values = _plain_values(text, header)
+        rest = [] if values is not None else list(rows)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: {exc}") from None
-    if not raw_rows:
+    if not text:
         raise InputError(f"{path}: file is empty")
-
-    if _looks_like_header(raw_rows[0]):
-        header = tuple(cell.strip() for cell in raw_rows[0])
-        if header != HEART_COLUMNS:
-            raise InputError(
-                f"{path}: header {list(header)} does not match expected columns "
-                f"{list(HEART_COLUMNS)}"
-            )
-        raw_rows = raw_rows[1:]
-        if not raw_rows:
+    if header and (names := [cell.strip() for cell in first]) != list(HEART_COLUMNS):
+        raise InputError(f"{path}: header {names} does not match expected columns "
+                         f"{list(HEART_COLUMNS)}")
+    if values is None:
+        if header and not rest:
             raise InputError(f"{path}: no data rows after header")
-
-    n_cols = len(HEART_COLUMNS)
-    texts = map(str.strip, chain.from_iterable(raw_rows))
-    texts = map({MISSING_SENTINEL: "nan"}.get, *tee(texts))  # get(text, text)
-    try:  # _parse_cell's rule over every cell at once
-        flat = np.fromiter(map(float, texts), np.float64, len(raw_rows) * n_cols)
-    except ValueError:
-        raise _first_error(path, raw_rows) from None
-    at = [divmod(k, n_cols) for k in np.flatnonzero(np.isnan(flat)).tolist()]
-    if set(map(len, raw_rows)) != {n_cols} or np.isinf(flat).any() or any(
-        j == TARGET or raw_rows[i][j].strip() != MISSING_SENTINEL for i, j in at
-    ):
-        raise _first_error(path, raw_rows)
-    values = flat.reshape(-1, n_cols)
+        values = _parsed_rows(path, rest if header else [first, *rest])
     targets = values[:, TARGET]
     if (targets < 0).any():
         bad = int(np.argmax(targets < 0))
         raise InputError(f"{path}: row {bad + 1}, column 'target': negative target value")
     # Collapse the 0..4 diagnosis coding to the low/high dichotomy.
-    values[:, TARGET] = (targets > 0).astype(np.float64)
-
+    values[:, TARGET] = targets > 0
+    at = np.argwhere(np.isnan(values)).tolist()
     return RawDataset(values, tuple((i, HEART_COLUMNS[j]) for i, j in at))
 
 
-def _first_error(path: str | Path, raw_rows: list[list[str]]) -> Exception:
-    """The InputError naming a refused file's first bad row or cell; a ContractError if none."""
-    n_cols = len(HEART_COLUMNS)
-    for i, row in enumerate(raw_rows, 1):
+def _plain_values(text: str, header: bool) -> np.ndarray | None:
+    """The rows after the header by numpy's C reader if the file is plain, else None (csv path).
+
+    Plain: rows of digits, ``.+-eE``, spaces, tabs, ``?`` and commas alone, which
+    ``csv.reader`` splits where ``str.split`` does and the C reader converts as ``float``
+    does; a blank line, another row length, an infinity or a missing target is not. A quoted
+    header is csv's to read; a quoted field that spans lines leaves a quote in the body.
+    """
+    body = text.replace("\r\n", "\n").replace("\r", "\n")  # csv.reader's line ends
+    body = (body.partition("\n")[2] if header else body).removesuffix("\n")
+    if body.isspace() or not re.fullmatch(r"[0-9.+\-eE \t?,\n]+", body):
+        return None
+    lines = body.replace("?", " nan").split("\n")  # the space keeps "+?" refused
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    plain = values.shape == (len(lines), len(HEART_COLUMNS)) and not np.isinf(values).any()
+    return values if plain and not np.isnan(values[:, TARGET]).any() else None
+
+
+def _parsed_rows(path: str | Path, rows: list[list[str]]) -> np.ndarray:
+    """The cell rule over csv rows: their values, or an InputError at the first bad row or cell."""
+    n_cols, values = len(HEART_COLUMNS), []
+    for i, row in enumerate(rows, 1):
         if len(row) != n_cols:
-            return InputError(f"{path}: row {i} has {len(row)} columns, expected {n_cols}")
+            raise InputError(f"{path}: row {i} has {len(row)} columns, expected {n_cols}")
         for column, cell in zip(HEART_COLUMNS, row):
-            try:
-                if not (math.isnan(_parse_cell(cell)) and column == "target"):
-                    continue
-                problem = "missing target is not supported"
-            except ValueError:
-                problem = f"cell {cell!r} is not numeric and not {MISSING_SENTINEL!r}"
-            return InputError(f"{path}: row {i}, column {column!r}: {problem}")
-    return ContractError(f"{path}: the bulk parse refused a file whose every cell parses")
-
-
-def _looks_like_header(row: list[str]) -> bool:
-    # Column names never parse as cells; a row with any numeric or missing cell is data.
-    for cell in row:
-        try:
-            _parse_cell(cell)
-        except ValueError:
-            continue
-        return False
-    return bool(row)
+            values.append(_parse_cell(cell))
+            if values[-1] is None:
+                raise InputError(f"{path}: row {i}, column {column!r}: cell {cell!r} is not "
+                                 f"numeric and not {MISSING_SENTINEL!r}")
+        if math.isnan(values[-1]):
+            raise InputError(f"{path}: row {i}, column 'target': missing target is not supported")
+    return np.array(values, dtype=np.float64).reshape(-1, n_cols)
 
 
 def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:
@@ -186,11 +188,14 @@ def impute_missing(data: RawDataset, strategy: str = "median") -> RawDataset:
 
 
 def median(values: np.ndarray) -> float:
-    """``float(np.median(values))``'s bits for NaN-free float64 ``values`` by its own steps (one
-    partition at its kth list, then the middle one or two values' mean), without numpy.ma."""
+    """``float(np.median(values))``'s bits for NaN-free float64 ``values`` wherever finite, by its
+    steps without numpy.ma (one partition at its kth list, then the middle one or two values'
+    mean); a middle pair whose sum overflows is halved before adding, so its mean stays finite."""
     half, odd = divmod(values.size, 2)
     middle = np.partition(values, [half - 1, half][odd:] + [-1])[half - 1 + odd:half + 1]
-    return float(middle.mean())
+    with np.errstate(over="ignore"):
+        mean = middle.mean()
+    return float(mean if np.isfinite(mean) else (middle / 2).sum())
 
 
 def split_features_target(data: RawDataset) -> tuple[FeatureMatrix, np.ndarray]:

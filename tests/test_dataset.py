@@ -1,4 +1,6 @@
+import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -157,25 +159,42 @@ EDGE_CELLS = [" ? ", "\t?", "\x1c7", "7\x1f", "nan", "NaN", "inf", "-inf", "1e40
 PLAIN_TARGETS = ["0", "1", "2", "4", "3.5", "\u0661"] * 2 + ["-1"]
 EDGE_TARGETS = ["?", " ? ", "\x1c1", "nan", "1e400"]
 HEADER = ",".join(HEART_COLUMNS) + "\n"
+# Cells of the C reader's alphabet (digits, ".+-eE", space, tab, "?"), which a plain file
+# holds alone, then cells of that alphabet the rule refuses, and targets likewise.
+ASCII_CELLS = ["0", "-0", "+5", ".5", "7.", "0012", "2E-2", "1e+2", "\t8 ", " ? ", "\t?", "?"]
+ASCII_EDGE_CELLS = ["+?", "-?", "??", "?5", "1e", ".", "--1", "-1e999", "+ 1", " "]
+ASCII_TARGETS = ["0", "1", "+2", "4.0", "3e0", " 1 ", "-0"] * 2 + ["-1", "-.5"]
+PLAIN_TEXT = r"[0-9.+\-eE \t?,\r\n]+"  # what a file past its header holds to be plain
 
 
 @st.composite
 def heart_files(draw):
-    """CSV text of a few rows from the plain alphabets, with up to two edge cells or bad rows."""
+    """CSV text of a few rows from the plain alphabets, with up to two edge cells or bad rows.
+
+    One draw picks the file's cells (the rule's plain cells, or the C reader's alphabet) and
+    its line ends (``\\n``, ``\\r``, ``\\r\\n`` or a mix of them).
+    """
+    alphabets = [(PLAIN_CELLS, PLAIN_TARGETS), (ASCII_CELLS, ASCII_TARGETS)]
+    cells, targets = draw(st.sampled_from(alphabets))
+    ends = st.sampled_from(draw(st.sampled_from([["\n"], ["\r"], ["\r\n"], ["\n", "\r", "\r\n"]])))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        row = draw(st.lists(st.sampled_from(PLAIN_CELLS), min_size=13, max_size=13))
-        rows.append(row + [draw(st.sampled_from(PLAIN_TARGETS))])
+        row = draw(st.lists(st.sampled_from(cells), min_size=13, max_size=13))
+        rows.append(row + [draw(st.sampled_from(targets))])
     for _ in range(draw(st.integers(0, 2))):
-        row, kind = draw(st.sampled_from(rows)), draw(st.sampled_from(["cell", "target", "length"]))
+        kind = draw(st.sampled_from(["cell", "target", "length", "blank"]))
+        row = draw(st.sampled_from([row for row in rows if len(row) > 1]))
         if kind == "cell":
-            row[draw(st.integers(0, 12))] = draw(st.sampled_from(EDGE_CELLS))
+            row[draw(st.integers(0, 12))] = draw(st.sampled_from(EDGE_CELLS + ASCII_EDGE_CELLS))
         elif kind == "target":
-            row[-1] = draw(st.sampled_from(EDGE_TARGETS))
-        else:  # a cell short, or one too many
+            row[-1] = draw(st.sampled_from(EDGE_TARGETS + ASCII_EDGE_CELLS))
+        elif kind == "length":  # a cell short, or one too many
             row[13:] = draw(st.sampled_from([[], row[13:] + ["0"]]))
-    header = HEADER if draw(st.booleans()) else ""
-    return header + "".join(",".join(row) + "\n" for row in rows)
+        else:  # an empty or whitespace-only line
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "], ["\t"]])))
+    header = ",".join(HEART_COLUMNS) + draw(ends) if draw(st.booleans()) else ""
+    return header + "".join(",".join(row) + draw(ends) for row in rows[:-1]) + ",".join(
+        rows[-1]) + draw(st.sampled_from(["", "\n", "\r", "\r\n"]))
 
 
 def _load_outcome(path):
@@ -206,7 +225,7 @@ class TestCellRule:
         """Same values and missing cells, or the same error, as a plain per-cell reader."""
 
         def refuse(*args):
-            raise AssertionError("a well-formed file went to the error scan")
+            raise AssertionError("a well-formed plain file went to the csv path")
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cells.csv"
@@ -215,10 +234,85 @@ class TestCellRule:
             if not isinstance(expected, str):
                 values, missing = expected
                 expected = np.array(values, dtype=np.float64).tobytes(), missing
+            plain = re.fullmatch(PLAIN_TEXT, text.removeprefix(",".join(HEART_COLUMNS)))
             with pytest.MonkeyPatch.context() as patch:
-                if not isinstance(expected, str):
-                    patch.setattr(dataset, "_first_error", refuse)
+                if not isinstance(expected, str) and plain:
+                    patch.setattr(dataset, "_parsed_rows", refuse)
                 assert _load_outcome(path) == expected
+
+
+def _oracle_outcome(path):
+    """The per-cell oracle's outcome in :func:`_load_outcome`'s form."""
+    try:
+        expected = python_load_heart_csv(path, HEART_COLUMNS)
+    except csv.Error as exc:  # the loader names csv's refusal after the path
+        return f"{path}: {exc}"
+    if isinstance(expected, str):
+        return expected
+    return np.array(expected[0], dtype=np.float64).tobytes(), expected[1]
+
+
+FIXTURE_TEXT = (Path(__file__).parent / "data" / "synthetic_heart.csv").read_text()
+
+
+@pytest.mark.filterwarnings("error")  # the C reader warns on a file with no data rows
+class TestReaderPaths:
+    """Which reader converts a file's rows: numpy's C reader for plain files, csv for the rest."""
+
+    @staticmethod
+    def _paths_taken(tmp_path, text):
+        path, taken = _write(tmp_path, text), []
+        plain_values, np_loadtxt = dataset._plain_values, np.loadtxt
+
+        def spy(*args):
+            values = plain_values(*args)
+            taken.append("csv" if values is None else "C")
+            return values
+
+        def loadtxt(*args, **kwargs):
+            taken.append("loadtxt")
+            return np_loadtxt(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_plain_values", spy)
+            patch.setattr(np, "loadtxt", loadtxt)
+            outcome = _load_outcome(path)
+        assert outcome == _oracle_outcome(path)
+        return taken
+
+    @pytest.mark.parametrize("text", [
+        FIXTURE_TEXT,
+        FIXTURE_TEXT.replace("\n", "\r\n"),
+        FIXTURE_TEXT.replace("\n", "\r"),
+        _rows(2, ca=" ? ", thal="\t+1e0") + _rows(1, ca="-0", thal=".5").rstrip("\n"),
+        _rows(3).replace(",1\n", ",0\r", 1).replace(",1\n", ",4\r\n", 1),
+        HEADER.replace("age", '"age"') + _rows(2),
+    ], ids=["fixture", "crlf", "cr", "edge-cells", "mixed-ends", "quoted-header"])
+    def test_plain_files_take_the_c_reader(self, tmp_path, text):
+        assert self._paths_taken(tmp_path, text) == ["loadtxt", "C"]
+
+    @pytest.mark.parametrize("text", [
+        _rows(2).replace("145", '"145"'),
+        HEADER.replace("age", '"age\n"') + _rows(2),
+        _rows(1, ca="1_0"),
+        _rows(1, thal="\u0661"),
+        _rows(1, thal="\x1c7"),
+        "\n" + _rows(2),
+        HEADER + "\n" + _rows(2),
+        HEADER + "\n\r\n",
+        _rows(1) + "\n" + _rows(1),
+        _rows(1) + " \n" + _rows(1),
+        _rows(2).replace(",1\n", ",1,0\n"),
+        _rows(1) + "0" * 131_073 + _rows(1),
+        _rows(1, ca="+?"),
+        _rows(1, thal="1e400"),
+        _rows(1) + _rows(1).replace(",1\n", ",?\n"),
+    ], ids=["quotes", "header-spanning-lines", "underscore", "arabic-indic-digit", "file-separator",
+            "blank-first-line", "blank-line-after-header", "blank-lines-only",
+            "blank-middle-line", "whitespace-line", "15-columns", "line-past-field-limit",
+            "signed-missing", "infinity", "missing-target"])
+    def test_other_files_take_the_csv_path(self, tmp_path, text):
+        assert self._paths_taken(tmp_path, text)[-1] == "csv"
 
 
 class TestImpute:
@@ -239,16 +333,20 @@ class TestImpute:
         [-0.0],
         [-0.0, 0.0, -0.0, 0.0],
         [0.0, 1.0, -0.0, -1.0, -0.0, 0.0],
-        [1.7e308, 1.7e308, -1.0, 1.7e308],  # the middle pair's sum overflows: +inf
+        [1.7e308, 1.7e308, -1.0, 1.7e308],  # the middle pair's sum overflows: halves added
         [-1.7e308, -1.7e308, 1.0, -1.7e308],
+        [5e-324, 5e-324, 1.0, -1.0],  # subnormal halves would round to 0: the sum is halved
     ])
     def test_median_fill_is_numpys_median(self, observed):
+        """np.median's bits wherever finite; a middle pair whose sum overflows is halved first."""
         values = np.zeros((len(observed) + 1, len(HEART_COLUMNS)))
         values[:-1, 11], values[-1, 11] = observed, math.nan
-        with np.errstate(over="ignore"):  # the overflowing pairs warn in both
+        with np.errstate(over="ignore"):  # numpy warns on the overflowing pairs
             expected = float(np.median(np.array(observed)))
-            filled = impute_missing(RawDataset(values), "median").values[-1, 11]
-        assert filled.hex() == expected.hex()
+        if not math.isfinite(expected):  # the halves' median, doubled: exact for these values
+            expected = 2 * float(np.median(np.array(observed) / 2))
+        filled = impute_missing(RawDataset(values), "median").values[-1, 11]
+        assert math.isfinite(filled) and filled.hex() == expected.hex()
 
     def test_mode_fill_prefers_smallest_on_ties(self, tmp_path):
         text = _rows(1, ca="3") + _rows(1, ca="1") + _rows(1, ca="?") + _rows(1, ca="1")

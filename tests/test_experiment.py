@@ -552,6 +552,29 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert captured.out == ""
 
+    def test_median_of_an_overflowing_middle_pair_is_finite(self, tmp_path, capsys):
+        # chol's observed 1.7e308 (three rows) and 1.0: the median's middle pair sums past
+        # the largest float, so the fill is their halves' sum, with no numpy warning on stderr
+        # and one error line from standardize, whose column mean overflows
+        chols = ("1.7e308", "1.7e308", "1.0", "?", "1.7e308")
+        rows = [ROW_A.replace("350", chol) for chol in chols]
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_text("\n".join(rows) + "\n")
+        assert cli.main(["experiment", "--input", str(bad), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset: feature values overflow float64: non-finite column mean or std\n"
+        )
+
+    def test_undecodable_byte_is_named_at_its_file_offset(self, heart_csv, tmp_path, capsys):
+        content = bytearray(Path(heart_csv).read_bytes())
+        content[10_000] = 0xFF  # past the first 8 KiB a chunked read decodes
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_bytes(bytes(content))
+        assert cli.main(["experiment", "--input", str(bad), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "can't decode byte 0xff in position 10000: invalid start byte" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
